@@ -21,8 +21,6 @@
 // evaluate at the neutral 1.0. The NEM-vs-CMOS paper slice (Table 2's
 // reduction column) is recomputed at the Table 1 operating point and
 // reported both in the table and the JSON.
-#include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -35,6 +33,7 @@
 #include "device/switch_tech.hpp"
 #include "netlist/mcnc.hpp"
 #include "netlist/synth_gen.hpp"
+#include "util/flags.hpp"
 #include "util/table.hpp"
 
 using namespace nemfpga;
@@ -47,22 +46,7 @@ double now_s() {
       .count();
 }
 
-// ---- strict flag parsing (route_perf.cpp convention) --------------------
-
-[[noreturn]] void flag_error(const char* flag, const std::string& tok,
-                             const std::string& hint = "") {
-  std::fprintf(stderr, "arch_exploration: bad value for %s: '%s'%s\n", flag,
-               tok.c_str(), hint.c_str());
-  std::exit(2);
-}
-
-const char* flag_operand(const char* flag, int argc, char** argv, int& i) {
-  if (i + 1 >= argc) {
-    std::fprintf(stderr, "arch_exploration: missing value for %s\n", flag);
-    std::exit(2);
-  }
-  return argv[++i];
-}
+// ---- list flags over the shared strict parser --------------------------
 
 std::vector<std::string> split_list(const char* tok) {
   std::vector<std::string> out;
@@ -79,86 +63,56 @@ std::vector<std::string> split_list(const char* tok) {
   return out;
 }
 
-std::vector<std::string> parse_backends_flag(const char* flag, int argc,
-                                             char** argv, int& i) {
-  const char* tok = flag_operand(flag, argc, argv, i);
+std::vector<std::string> parse_backends_flag(const FlagParser& fp,
+                                             const char* flag, int& i) {
+  const char* tok = fp.flag_operand(flag, i);
   std::vector<std::string> out;
   for (const std::string& name : split_list(tok)) {
     if (!switch_technology_registered(name)) {
-      flag_error(flag, name,
-                 " (registered: " + registered_switch_technology_names() +
-                     ")");
+      fp.flag_error(flag, name,
+                    " (registered: " + registered_switch_technology_names() +
+                        ")");
     }
     out.push_back(std::string(switch_technology(name).name()));
   }
-  if (out.empty()) flag_error(flag, tok);
+  if (out.empty()) fp.flag_error(flag, tok);
   return out;
 }
 
-std::vector<SbPattern> parse_patterns_flag(const char* flag, int argc,
-                                           char** argv, int& i) {
-  const char* tok = flag_operand(flag, argc, argv, i);
+std::vector<SbPattern> parse_patterns_flag(const FlagParser& fp,
+                                           const char* flag, int& i) {
+  const char* tok = fp.flag_operand(flag, i);
   std::vector<SbPattern> out;
   for (const std::string& name : split_list(tok)) {
     try {
       out.push_back(sb_pattern_from_name(name));
     } catch (const std::invalid_argument&) {
-      flag_error(flag, name, " (recognized: " + sb_pattern_names() + ")");
+      fp.flag_error(flag, name, " (recognized: " + sb_pattern_names() + ")");
     }
   }
-  if (out.empty()) flag_error(flag, tok);
+  if (out.empty()) fp.flag_error(flag, tok);
   return out;
 }
 
-std::size_t parse_one_size(const char* flag, const std::string& tok) {
-  if (tok.empty() || tok.size() > 19) flag_error(flag, tok);
-  std::size_t v = 0;
-  for (char ch : tok) {
-    if (!std::isdigit(static_cast<unsigned char>(ch))) flag_error(flag, tok);
-    v = v * 10 + static_cast<std::size_t>(ch - '0');
-  }
-  return v;
-}
-
-std::size_t parse_size_flag(const char* flag, int argc, char** argv,
-                            int& i) {
-  return parse_one_size(flag, flag_operand(flag, argc, argv, i));
-}
-
-std::vector<std::size_t> parse_size_list_flag(const char* flag, int argc,
-                                              char** argv, int& i) {
-  const char* tok = flag_operand(flag, argc, argv, i);
+std::vector<std::size_t> parse_size_list_flag(const FlagParser& fp,
+                                              const char* flag, int& i) {
+  const char* tok = fp.flag_operand(flag, i);
   std::vector<std::size_t> out;
   for (const std::string& s : split_list(tok)) {
-    out.push_back(parse_one_size(flag, s));
+    out.push_back(fp.size_value(flag, s));
   }
-  if (out.empty()) flag_error(flag, tok);
+  if (out.empty()) fp.flag_error(flag, tok);
   return out;
 }
 
-double parse_one_double(const char* flag, const std::string& tok) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(tok.c_str(), &end);
-  if (end == tok.c_str() || *end != '\0' || errno == ERANGE ||
-      !std::isfinite(v)) {
-    flag_error(flag, tok);
-  }
-  return v;
-}
-
-double parse_double_flag(const char* flag, int argc, char** argv, int& i) {
-  return parse_one_double(flag, flag_operand(flag, argc, argv, i));
-}
-
-std::vector<double> parse_double_list_flag(const char* flag, int argc,
-                                           char** argv, int& i) {
-  const char* tok = flag_operand(flag, argc, argv, i);
+std::vector<double> parse_double_list_flag(const FlagParser& fp,
+                                           const char* flag, int& i) {
+  const char* tok = fp.flag_operand(flag, i);
   std::vector<double> out;
   for (const std::string& s : split_list(tok)) {
-    out.push_back(parse_one_double(flag, s));
+    out.push_back(fp.double_value(flag, s));
   }
-  if (out.empty()) flag_error(flag, tok);
+  if (out.empty()) fp.flag_error(flag, tok);
   return out;
 }
 
@@ -226,25 +180,26 @@ int main(int argc, char** argv) {
   std::size_t w = 118;
   double downsize = 4.0;
 
+  const FlagParser fp("arch_exploration", argc, argv);
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--out")) {
-      out = flag_operand("--out", argc, argv, i);
+      out = fp.flag_operand("--out", i);
     } else if (!std::strcmp(argv[i], "--circuit")) {
-      circuit = flag_operand("--circuit", argc, argv, i);
+      circuit = fp.flag_operand("--circuit", i);
     } else if (!std::strcmp(argv[i], "--smoke")) {
       smoke = true;
     } else if (!std::strcmp(argv[i], "--backends")) {
-      backends = parse_backends_flag("--backends", argc, argv, i);
+      backends = parse_backends_flag(fp, "--backends", i);
     } else if (!std::strcmp(argv[i], "--sb-patterns")) {
-      patterns = parse_patterns_flag("--sb-patterns", argc, argv, i);
+      patterns = parse_patterns_flag(fp, "--sb-patterns", i);
     } else if (!std::strcmp(argv[i], "--seg-lengths")) {
-      seg_lengths = parse_size_list_flag("--seg-lengths", argc, argv, i);
+      seg_lengths = parse_size_list_flag(fp, "--seg-lengths", i);
     } else if (!std::strcmp(argv[i], "--fc-in")) {
-      fc_ins = parse_double_list_flag("--fc-in", argc, argv, i);
+      fc_ins = parse_double_list_flag(fp, "--fc-in", i);
     } else if (!std::strcmp(argv[i], "--w")) {
-      w = parse_size_flag("--w", argc, argv, i);
+      w = fp.parse_size_flag("--w", i);
     } else if (!std::strcmp(argv[i], "--downsize")) {
-      downsize = parse_double_flag("--downsize", argc, argv, i);
+      downsize = fp.parse_double_flag("--downsize", i);
     } else {
       std::fprintf(stderr,
                    "arch_exploration: unknown flag '%s'\n"

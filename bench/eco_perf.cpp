@@ -26,8 +26,6 @@
 #include <sys/resource.h>
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -41,6 +39,7 @@
 #include "netlist/mcnc.hpp"
 #include "netlist/synth_gen.hpp"
 #include "route/route.hpp"
+#include "util/flags.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "verify/generators.hpp"
@@ -60,49 +59,6 @@ std::uint64_t peak_rss_bytes() {
   if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;
   return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024u;
 }
-
-// ---- strict flag parsing (route_perf's discipline: no silent atoi) ------
-
-[[noreturn]] void flag_error(const char* flag, const char* tok) {
-  std::fprintf(stderr, "eco_perf: bad value for %s: '%s'\n", flag, tok);
-  std::exit(2);
-}
-
-const char* flag_operand(const char* flag, int argc, char** argv, int& i) {
-  if (i + 1 >= argc) {
-    std::fprintf(stderr, "eco_perf: missing value for %s\n", flag);
-    std::exit(2);
-  }
-  return argv[++i];
-}
-
-std::size_t parse_size_flag(const char* flag, int argc, char** argv,
-                            int& i) {
-  const char* tok = flag_operand(flag, argc, argv, i);
-  const std::size_t len = std::strlen(tok);
-  if (len == 0 || len > 19) flag_error(flag, tok);
-  std::size_t v = 0;
-  for (std::size_t k = 0; k < len; ++k) {
-    if (!std::isdigit(static_cast<unsigned char>(tok[k]))) {
-      flag_error(flag, tok);
-    }
-    v = v * 10 + static_cast<std::size_t>(tok[k] - '0');
-  }
-  return v;
-}
-
-double parse_double_flag(const char* flag, int argc, char** argv, int& i) {
-  const char* tok = flag_operand(flag, argc, argv, i);
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(tok, &end);
-  if (end == tok || *end != '\0' || errno == ERANGE || !std::isfinite(v)) {
-    flag_error(flag, tok);
-  }
-  return v;
-}
-
-// -------------------------------------------------------------------------
 
 /// FNV-1a over the live route trees: the determinism fingerprint two
 /// runs (any thread counts) of the same edit stream must share.
@@ -343,33 +299,34 @@ int main(int argc, char** argv) {
   std::size_t threads = 0;  // 0 = keep the ambient NF_THREADS pool
   g_opt.arch.W = 64;        // generous session width: edits stay routable
   g_opt.place.inner_num = 0.3;  // the flow's default effort
+  const FlagParser fp("eco_perf", argc, argv);
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--out")) {
-      out = flag_operand("--out", argc, argv, i);
+      out = fp.flag_operand("--out", i);
     } else if (!std::strcmp(argv[i], "--smoke")) {
       smoke = true;
       circuits = {"tseng"};
     } else if (!std::strcmp(argv[i], "--scale")) {
       scale = true;
     } else if (!std::strcmp(argv[i], "--threads")) {
-      threads = parse_size_flag("--threads", argc, argv, i);
+      threads = fp.parse_size_flag("--threads", i);
     } else if (!std::strcmp(argv[i], "--edits")) {
-      g_edits = parse_size_flag("--edits", argc, argv, i);
+      g_edits = fp.parse_size_flag("--edits", i);
       edits_set = true;
     } else if (!std::strcmp(argv[i], "--edit-seed")) {
-      g_edit_seed = parse_size_flag("--edit-seed", argc, argv, i);
+      g_edit_seed = fp.parse_size_flag("--edit-seed", i);
     } else if (!std::strcmp(argv[i], "--seed")) {
-      g_opt.seed = parse_size_flag("--seed", argc, argv, i);
+      g_opt.seed = fp.parse_size_flag("--seed", i);
       g_opt.place.seed = g_opt.seed;
     } else if (!std::strcmp(argv[i], "--w")) {
-      g_opt.arch.W = parse_size_flag("--w", argc, argv, i);
+      g_opt.arch.W = fp.parse_size_flag("--w", i);
       w_set = true;
     } else if (!std::strcmp(argv[i], "--inner-num")) {
       g_opt.place.inner_num =
-          parse_double_flag("--inner-num", argc, argv, i);
+          fp.parse_double_flag("--inner-num", i);
     } else if (!std::strcmp(argv[i], "--circuits")) {
       circuits.clear();
-      std::string s = flag_operand("--circuits", argc, argv, i);
+      std::string s = fp.flag_operand("--circuits", i);
       std::size_t pos = 0;
       while (pos != std::string::npos) {
         const std::size_t c = s.find(',', pos);

@@ -32,8 +32,6 @@
 // comparisons across thread counts.
 #include <sys/resource.h>
 
-#include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -49,6 +47,7 @@
 #include "netlist/synth_gen.hpp"
 #include "service/flow_artifacts.hpp"
 #include "service/job_scheduler.hpp"
+#include "util/flags.hpp"
 
 using namespace nemfpga;
 
@@ -65,39 +64,6 @@ std::uint64_t peak_rss_bytes() {
   if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;
   return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024u;
 }
-
-// ---- strict flag parsing (route_perf's discipline: no silent atoi) ------
-
-[[noreturn]] void flag_error(const char* flag, const char* tok) {
-  std::fprintf(stderr, "flow_throughput: bad value for %s: '%s'\n", flag,
-               tok);
-  std::exit(2);
-}
-
-const char* flag_operand(const char* flag, int argc, char** argv, int& i) {
-  if (i + 1 >= argc) {
-    std::fprintf(stderr, "flow_throughput: missing value for %s\n", flag);
-    std::exit(2);
-  }
-  return argv[++i];
-}
-
-std::size_t parse_size_flag(const char* flag, int argc, char** argv,
-                            int& i) {
-  const char* tok = flag_operand(flag, argc, argv, i);
-  const std::size_t len = std::strlen(tok);
-  if (len == 0 || len > 19) flag_error(flag, tok);
-  std::size_t v = 0;
-  for (std::size_t k = 0; k < len; ++k) {
-    if (!std::isdigit(static_cast<unsigned char>(tok[k]))) {
-      flag_error(flag, tok);
-    }
-    v = v * 10 + static_cast<std::size_t>(tok[k] - '0');
-  }
-  return v;
-}
-
-// -------------------------------------------------------------------------
 
 /// One measured mode over the same job mix.
 struct ModeReport {
@@ -290,33 +256,27 @@ void write_json(const Config& cfg, const std::vector<ModeReport>& modes,
 int main(int argc, char** argv) {
   Config cfg;
   bool smoke = false;
+  const FlagParser fp("flow_throughput", argc, argv);
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--out")) {
-      cfg.out = flag_operand("--out", argc, argv, i);
+      cfg.out = fp.flag_operand("--out", i);
     } else if (!std::strcmp(argv[i], "--jobs")) {
-      cfg.jobs = parse_size_flag("--jobs", argc, argv, i);
+      cfg.jobs = fp.parse_size_flag("--jobs", i);
     } else if (!std::strcmp(argv[i], "--threads")) {
-      cfg.threads = parse_size_flag("--threads", argc, argv, i);
+      cfg.threads = fp.parse_size_flag("--threads", i);
     } else if (!std::strcmp(argv[i], "--benchmark")) {
-      cfg.benchmark = flag_operand("--benchmark", argc, argv, i);
+      cfg.benchmark = fp.flag_operand("--benchmark", i);
       cfg.synth_luts = 0;
     } else if (!std::strcmp(argv[i], "--synth-luts")) {
-      cfg.synth_luts = parse_size_flag("--synth-luts", argc, argv, i);
+      cfg.synth_luts = fp.parse_size_flag("--synth-luts", i);
     } else if (!std::strcmp(argv[i], "--w")) {
-      cfg.w = parse_size_flag("--w", argc, argv, i);
+      cfg.w = fp.parse_size_flag("--w", i);
     } else if (!std::strcmp(argv[i], "--timing")) {
-      const char* tok = flag_operand("--timing", argc, argv, i);
-      if (!std::strcmp(tok, "0")) {
-        cfg.timing = false;
-      } else if (!std::strcmp(tok, "1")) {
-        cfg.timing = true;
-      } else {
-        flag_error("--timing", tok);
-      }
+      cfg.timing = fp.parse_bool_flag("--timing", i);
     } else if (!std::strcmp(argv[i], "--seed")) {
-      cfg.seed0 = parse_size_flag("--seed", argc, argv, i);
+      cfg.seed0 = fp.parse_size_flag("--seed", i);
     } else if (!std::strcmp(argv[i], "--cache-mb")) {
-      cfg.cache_mb = parse_size_flag("--cache-mb", argc, argv, i);
+      cfg.cache_mb = fp.parse_size_flag("--cache-mb", i);
     } else if (!std::strcmp(argv[i], "--smoke")) {
       smoke = true;
     } else {
@@ -335,7 +295,7 @@ int main(int argc, char** argv) {
     cfg.synth_luts = 300;
     cfg.w = 48;
   }
-  if (cfg.jobs == 0) flag_error("--jobs", "0");
+  if (cfg.jobs == 0) fp.flag_error("--jobs", "0");
 
   const Netlist nl = make_netlist(cfg);
   std::printf(

@@ -1,32 +1,27 @@
 // Placer performance harness: anneals seed circuits under a chosen move
-// discipline and emits BENCH_place.json (wall time, move throughput,
-// batch/conflict/replay counters, final costs, a placement checksum and
-// the post-route critical path at a fixed channel width) so every PR
-// leaves a placer perf trajectory to regress against
-// (tools/bench_check.py diffs two such files).
+// discipline and emits BENCH_place.json (wall time, move throughput and
+// work counters, final costs, a placement checksum and the post-route
+// critical path at a fixed channel width) so every PR leaves a placer
+// perf trajectory to regress against (tools/bench_check.py diffs two
+// such files).
 //
 //   place_perf [--out FILE] [--circuits a,b,c] [--smoke] [--scale]
-//              [--threads N] [--batch N] [--directed 0|1] [--timing]
-//              [--naive] [--inner-num F] [--seed N] [--w N] [--no-route]
+//              [--threads N] [--directed 0|1] [--timing]
+//              [--inner-num F] [--seed N] [--w N] [--no-route]
 //
 // --smoke runs only the smallest seed circuit (CTest target
 // bench_place_smoke exercises the harness this way). --scale replaces
 // the MCNC seed list with the three synthetic circuits route_perf's
 // memory experiment uses — the placer speedup claim of EXPERIMENTS.md is
 // measured on synth-l. --threads installs its own pool for the whole
-// run (default: the ambient NF_THREADS pool). --batch sets
-// PlaceOptions::batch_moves (0 = the serial seed-identical discipline);
-// --naive evaluates moves with the seed annealer's full-rescan kernel
-// (the measured perf baseline). --w sets the fixed channel width of the
-// post-place routing pass whose critical path anchors the
+// run (default: the ambient NF_THREADS pool). --w sets the fixed channel
+// width of the post-place routing pass whose critical path anchors the
 // quality-neutrality claim; --no-route skips that pass for pure placer
 // timing. Wall times and peak RSS vary run to run; the cost, checksum,
 // counter and critical-path fields are bit-deterministic at any thread
-// count (the batch size, not the thread count, shapes the anneal).
+// count.
 #include <sys/resource.h>
 
-#include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -43,6 +38,7 @@
 #include "route/route.hpp"
 #include "timing/sta.hpp"
 #include "timing/variant.hpp"
+#include "util/flags.hpp"
 #include "util/thread_pool.hpp"
 
 using namespace nemfpga;
@@ -61,58 +57,8 @@ std::uint64_t peak_rss_bytes() {
   return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024u;
 }
 
-// ---- strict flag parsing (route_perf's discipline: no silent atoi) ------
-
-[[noreturn]] void flag_error(const char* flag, const char* tok) {
-  std::fprintf(stderr, "place_perf: bad value for %s: '%s'\n", flag, tok);
-  std::exit(2);
-}
-
-const char* flag_operand(const char* flag, int argc, char** argv, int& i) {
-  if (i + 1 >= argc) {
-    std::fprintf(stderr, "place_perf: missing value for %s\n", flag);
-    std::exit(2);
-  }
-  return argv[++i];
-}
-
-std::size_t parse_size_flag(const char* flag, int argc, char** argv,
-                            int& i) {
-  const char* tok = flag_operand(flag, argc, argv, i);
-  const std::size_t len = std::strlen(tok);
-  if (len == 0 || len > 19) flag_error(flag, tok);
-  std::size_t v = 0;
-  for (std::size_t k = 0; k < len; ++k) {
-    if (!std::isdigit(static_cast<unsigned char>(tok[k]))) {
-      flag_error(flag, tok);
-    }
-    v = v * 10 + static_cast<std::size_t>(tok[k] - '0');
-  }
-  return v;
-}
-
-double parse_double_flag(const char* flag, int argc, char** argv, int& i) {
-  const char* tok = flag_operand(flag, argc, argv, i);
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(tok, &end);
-  if (end == tok || *end != '\0' || errno == ERANGE || !std::isfinite(v)) {
-    flag_error(flag, tok);
-  }
-  return v;
-}
-
-bool parse_bool_flag(const char* flag, int argc, char** argv, int& i) {
-  const char* tok = flag_operand(flag, argc, argv, i);
-  if (!std::strcmp(tok, "0")) return false;
-  if (!std::strcmp(tok, "1")) return true;
-  flag_error(flag, tok);
-}
-
-// -------------------------------------------------------------------------
-
 /// FNV-1a over the block locations: the determinism fingerprint two runs
-/// (different thread counts, different cost kernels) must share.
+/// (different thread counts) must share.
 std::uint64_t placement_checksum(const Placement& pl) {
   std::uint64_t h = 1469598103934665603ull;
   auto mix = [&h](std::uint64_t v) {
@@ -206,10 +152,9 @@ void write_json(const std::vector<CircuitReport>& reps, const char* path) {
   std::fprintf(f, "  \"threads\": %zu,\n",
                ThreadPool::current().thread_count());
   // The placer config tuple bench_check pins: these knobs change the
-  // anneal trajectory (deterministically). threads and cost_kernel do
-  // NOT join it — both are bit-identity claims, and cross-thread /
-  // cross-kernel diffs are exactly how those claims are audited.
-  std::fprintf(f, "  \"batch_moves\": %zu,\n", g_popt.batch_moves);
+  // anneal trajectory (deterministically). threads does NOT join it — it
+  // is a bit-identity claim, and cross-thread diffs are exactly how that
+  // claim is audited.
   std::fprintf(f, "  \"directed\": %s,\n",
                g_popt.directed_moves ? "true" : "false");
   std::fprintf(f, "  \"timing_driven\": %s,\n",
@@ -217,8 +162,6 @@ void write_json(const std::vector<CircuitReport>& reps, const char* path) {
   std::fprintf(f, "  \"inner_num\": %.6f,\n", g_popt.inner_num);
   std::fprintf(f, "  \"seed\": %llu,\n",
                static_cast<unsigned long long>(g_popt.seed));
-  std::fprintf(f, "  \"cost_kernel\": \"%s\",\n",
-               g_popt.naive_cost ? "naive" : "incremental");
   double total = 0.0;
   for (const auto& r : reps) total += r.place_wall_s;
   std::fprintf(f, "  \"total_wall_s\": %.6f,\n", total);
@@ -247,14 +190,6 @@ void write_json(const std::vector<CircuitReport>& reps, const char* path) {
                  static_cast<unsigned long long>(c.rescans));
     std::fprintf(f, "      \"directed_moves\": %llu,\n",
                  static_cast<unsigned long long>(c.directed));
-    std::fprintf(f, "      \"batches\": %llu,\n",
-                 static_cast<unsigned long long>(c.batches));
-    std::fprintf(f, "      \"conflicts\": %llu,\n",
-                 static_cast<unsigned long long>(c.conflicts));
-    std::fprintf(f, "      \"repairs\": %llu,\n",
-                 static_cast<unsigned long long>(c.repairs));
-    std::fprintf(f, "      \"replays\": %llu,\n",
-                 static_cast<unsigned long long>(c.replays));
     // %.17g so a diff of two runs compares the costs bitwise.
     std::fprintf(f, "      \"final_cost\": %.17g,\n", r.final_cost);
     std::fprintf(f, "      \"final_weighted_cost\": %.17g,\n",
@@ -297,34 +232,31 @@ int main(int argc, char** argv) {
   bool scale = false;
   std::size_t threads = 0;  // 0 = keep the ambient NF_THREADS pool
   g_popt.inner_num = 0.3;   // the flow's default effort
+  const FlagParser fp("place_perf", argc, argv);
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--out")) {
-      out = flag_operand("--out", argc, argv, i);
+      out = fp.flag_operand("--out", i);
     } else if (!std::strcmp(argv[i], "--smoke")) {
       circuits = {"tseng"};
     } else if (!std::strcmp(argv[i], "--scale")) {
       scale = true;
     } else if (!std::strcmp(argv[i], "--threads")) {
-      threads = parse_size_flag("--threads", argc, argv, i);
-    } else if (!std::strcmp(argv[i], "--batch")) {
-      g_popt.batch_moves = parse_size_flag("--batch", argc, argv, i);
+      threads = fp.parse_size_flag("--threads", i);
     } else if (!std::strcmp(argv[i], "--directed")) {
-      g_popt.directed_moves = parse_bool_flag("--directed", argc, argv, i);
+      g_popt.directed_moves = fp.parse_bool_flag("--directed", i);
     } else if (!std::strcmp(argv[i], "--timing")) {
       g_popt.timing_driven = true;
-    } else if (!std::strcmp(argv[i], "--naive")) {
-      g_popt.naive_cost = true;
     } else if (!std::strcmp(argv[i], "--inner-num")) {
-      g_popt.inner_num = parse_double_flag("--inner-num", argc, argv, i);
+      g_popt.inner_num = fp.parse_double_flag("--inner-num", i);
     } else if (!std::strcmp(argv[i], "--seed")) {
-      g_popt.seed = parse_size_flag("--seed", argc, argv, i);
+      g_popt.seed = fp.parse_size_flag("--seed", i);
     } else if (!std::strcmp(argv[i], "--w")) {
-      g_route_w = parse_size_flag("--w", argc, argv, i);
+      g_route_w = fp.parse_size_flag("--w", i);
     } else if (!std::strcmp(argv[i], "--no-route")) {
       g_do_route = false;
     } else if (!std::strcmp(argv[i], "--circuits")) {
       circuits.clear();
-      std::string s = flag_operand("--circuits", argc, argv, i);
+      std::string s = fp.flag_operand("--circuits", i);
       std::size_t pos = 0;
       while (pos != std::string::npos) {
         const std::size_t c = s.find(',', pos);
@@ -334,9 +266,9 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: place_perf [--out FILE] [--circuits a,b,c] "
-                   "[--smoke] [--scale] [--threads N] [--batch N] "
-                   "[--directed 0|1] [--timing] [--naive] "
-                   "[--inner-num F] [--seed N] [--w N] [--no-route]\n");
+                   "[--smoke] [--scale] [--threads N] [--directed 0|1] "
+                   "[--timing] [--inner-num F] [--seed N] [--w N] "
+                   "[--no-route]\n");
       return 2;
     }
   }
@@ -349,12 +281,11 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "place_perf — annealer hot-path benchmark (%zu threads, batch=%zu, "
-      "directed=%d, timing=%d, kernel=%s, inner_num=%.2f)\n\n",
-      ThreadPool::current().thread_count(), g_popt.batch_moves,
+      "place_perf — annealer hot-path benchmark (%zu threads, "
+      "directed=%d, timing=%d, inner_num=%.2f)\n\n",
+      ThreadPool::current().thread_count(),
       static_cast<int>(g_popt.directed_moves),
-      static_cast<int>(g_popt.timing_driven),
-      g_popt.naive_cost ? "naive" : "incremental", g_popt.inner_num);
+      static_cast<int>(g_popt.timing_driven), g_popt.inner_num);
   std::vector<CircuitReport> reps;
   auto report = [&](const CircuitReport& r) {
     const auto& c = r.counters;
@@ -366,16 +297,10 @@ int main(int argc, char** argv) {
             ? static_cast<double>(c.proposed) / r.place_wall_s
             : 0.0,
         r.final_cost, static_cast<unsigned long long>(r.checksum));
-    std::printf(
-        "         accepted=%llu rescans=%llu directed=%llu batches=%llu "
-        "conflicts=%llu repairs=%llu replays=%llu\n",
-        static_cast<unsigned long long>(c.accepted),
-        static_cast<unsigned long long>(c.rescans),
-        static_cast<unsigned long long>(c.directed),
-        static_cast<unsigned long long>(c.batches),
-        static_cast<unsigned long long>(c.conflicts),
-        static_cast<unsigned long long>(c.repairs),
-        static_cast<unsigned long long>(c.replays));
+    std::printf("         accepted=%llu rescans=%llu directed=%llu\n",
+                static_cast<unsigned long long>(c.accepted),
+                static_cast<unsigned long long>(c.rescans),
+                static_cast<unsigned long long>(c.directed));
     if (r.routed) {
       std::printf("         route@W=%zu critical_path=%.3f ns\n", r.route_w,
                   r.critical_path_s * 1e9);

@@ -7,8 +7,7 @@
 //   route_perf [--out FILE] [--circuits a,b,c] [--smoke] [--scale]
 //              [--threads N] [--astar F] [--par 0|1] [--timing]
 //              [--crit-exp E] [--backend explicit|implicit]
-//              [--partition 0|1] [--partition-size N] [--max-w N]
-//              [--verify-la]
+//              [--max-w N] [--verify-la]
 //
 // --smoke runs only the smallest seed circuit (CTest target bench_smoke
 // exercises the harness this way). --scale replaces the MCNC seed list
@@ -17,23 +16,18 @@
 // it once per --backend and compare rr_bytes_per_node at fixed Wmin and
 // tree checksums (both must be backend-invariant). --threads installs
 // its own pool for the whole run (default: the ambient NF_THREADS pool).
-// --astar sets RouteOptions::astar_factor; 0 selects the legacy profile
-// (Manhattan heuristic, serial nets) that reproduces the pre-lookahead
-// router bit-for-bit. --timing routes the fixed-width pass timing-driven
+// --astar sets RouteOptions::astar_factor (finite, > 0). --timing routes
+// the fixed-width pass timing-driven
 // (an incremental-STA hook over the CMOS baseline view; the Wmin search
 // stays congestion-only by construction) and records the post-route
 // critical path. --backend selects the RR representation (stored CSR vs
-// coordinate-computed); --partition enables the region-partitioned net
-// scheduler and --partition-size overrides its region edge length.
-// --max-w caps the Wmin grow phase: a circuit that cannot route below
+// coordinate-computed). --max-w caps the Wmin grow phase: a circuit that cannot route below
 // the cap is reported as "infeasible" in the JSON instead of aborting
 // the run. Wall times and peak RSS vary run to run; Wmin, iteration,
 // counter, checksum and critical-path fields are bit-deterministic at
 // any thread count and across backends.
 #include <sys/resource.h>
 
-#include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -49,6 +43,7 @@
 #include "route/route.hpp"
 #include "timing/sta.hpp"
 #include "timing/variant.hpp"
+#include "util/flags.hpp"
 #include "util/thread_pool.hpp"
 #include "verify/check.hpp"
 
@@ -71,64 +66,12 @@ std::uint64_t peak_rss_bytes() {
   return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024u;
 }
 
-// ---- strict flag parsing ------------------------------------------------
-// Modeled on place_io.cpp's parse_size: no atoi/atof, whose silent-zero
-// failure mode once turned `--threads x` into a 0-thread "request" that
-// quietly kept the ambient pool. Every malformed operand names the flag
-// it belongs to and exits 2 (the usage-error code).
-
-[[noreturn]] void flag_error(const char* flag, const char* tok) {
-  std::fprintf(stderr, "route_perf: bad value for %s: '%s'\n", flag, tok);
-  std::exit(2);
-}
-
-const char* flag_operand(const char* flag, int argc, char** argv, int& i) {
-  if (i + 1 >= argc) {
-    std::fprintf(stderr, "route_perf: missing value for %s\n", flag);
-    std::exit(2);
-  }
-  return argv[++i];
-}
-
-std::size_t parse_size_flag(const char* flag, int argc, char** argv,
-                            int& i) {
-  const char* tok = flag_operand(flag, argc, argv, i);
-  const std::size_t len = std::strlen(tok);
-  if (len == 0 || len > 19) flag_error(flag, tok);
-  std::size_t v = 0;
-  for (std::size_t k = 0; k < len; ++k) {
-    if (!std::isdigit(static_cast<unsigned char>(tok[k]))) {
-      flag_error(flag, tok);
-    }
-    v = v * 10 + static_cast<std::size_t>(tok[k] - '0');
-  }
-  return v;
-}
-
-double parse_double_flag(const char* flag, int argc, char** argv, int& i) {
-  const char* tok = flag_operand(flag, argc, argv, i);
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(tok, &end);
-  if (end == tok || *end != '\0' || errno == ERANGE || !std::isfinite(v)) {
-    flag_error(flag, tok);
-  }
-  return v;
-}
-
-bool parse_bool_flag(const char* flag, int argc, char** argv, int& i) {
-  const char* tok = flag_operand(flag, argc, argv, i);
-  if (!std::strcmp(tok, "0")) return false;
-  if (!std::strcmp(tok, "1")) return true;
-  flag_error(flag, tok);
-}
-
-RrBackend parse_backend_flag(const char* flag, int argc, char** argv,
+RrBackend parse_backend_flag(const FlagParser& fp, const char* flag,
                              int& i) {
-  const char* tok = flag_operand(flag, argc, argv, i);
+  const char* tok = fp.flag_operand(flag, i);
   if (!std::strcmp(tok, "explicit")) return RrBackend::kExplicit;
   if (!std::strcmp(tok, "implicit")) return RrBackend::kImplicit;
-  flag_error(flag, tok);
+  fp.flag_error(flag, tok);
 }
 
 // -------------------------------------------------------------------------
@@ -257,18 +200,13 @@ void write_json(const std::vector<CircuitReport>& reps, const char* path) {
   std::fprintf(f, "  \"timing_driven\": %s,\n",
                g_route_opt.timing_driven ? "true" : "false");
   std::fprintf(f, "  \"crit_exp\": %.3f,\n", g_route_opt.criticality_exp);
-  // Backend and scheduler knobs: the partition knobs change the routing
-  // (deterministically), so they join the config tuple bench_check pins;
-  // rr_backend does NOT — both backends are bit-identical by design, and
-  // cross-backend diffs are exactly how that claim is audited. Wall-time
-  // budgets are still only applied between same-backend runs.
+  // The backend does NOT join the config tuple bench_check pins: both
+  // backends are bit-identical by design, and cross-backend diffs are
+  // exactly how that claim is audited. Wall-time budgets are still only
+  // applied between same-backend runs.
   std::fprintf(f, "  \"rr_backend\": \"%s\",\n",
                g_route_opt.rr_backend == RrBackend::kImplicit ? "implicit"
                                                               : "explicit");
-  std::fprintf(f, "  \"partition_parallel\": %s,\n",
-               g_route_opt.partition_parallel ? "true" : "false");
-  std::fprintf(f, "  \"partition_size\": %zu,\n",
-               g_route_opt.partition_size);
   // Recorded so bench_check can waive the wall-time budget when one run
   // paid for invariant checking and the other did not; the correctness
   // fields and work counters stay pinned either way.
@@ -372,38 +310,32 @@ int main(int argc, char** argv) {
   std::vector<std::string> circuits = {"tseng", "alu4", "pdc"};
   bool scale = false;
   std::size_t threads = 0;  // 0 = keep the ambient NF_THREADS pool
+  const FlagParser fp("route_perf", argc, argv);
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--out")) {
-      out = flag_operand("--out", argc, argv, i);
+      out = fp.flag_operand("--out", i);
     } else if (!std::strcmp(argv[i], "--smoke")) {
       circuits = {"tseng"};
     } else if (!std::strcmp(argv[i], "--scale")) {
       scale = true;
     } else if (!std::strcmp(argv[i], "--threads")) {
-      threads = parse_size_flag("--threads", argc, argv, i);
+      threads = fp.parse_size_flag("--threads", i);
     } else if (!std::strcmp(argv[i], "--astar")) {
-      g_route_opt.astar_factor =
-          parse_double_flag("--astar", argc, argv, i);
-      // astar 0 means "the pre-lookahead router", which was serial.
-      if (g_route_opt.astar_factor == 0.0) g_route_opt.net_parallel = false;
+      const char* tok = fp.flag_operand("--astar", i);
+      g_route_opt.astar_factor = fp.double_value("--astar", tok);
+      if (g_route_opt.astar_factor <= 0.0) fp.flag_error("--astar", tok);
     } else if (!std::strcmp(argv[i], "--par")) {
-      g_route_opt.net_parallel = parse_bool_flag("--par", argc, argv, i);
+      g_route_opt.net_parallel = fp.parse_bool_flag("--par", i);
     } else if (!std::strcmp(argv[i], "--timing")) {
       g_route_opt.timing_driven = true;
     } else if (!std::strcmp(argv[i], "--crit-exp")) {
       g_route_opt.criticality_exp =
-          parse_double_flag("--crit-exp", argc, argv, i);
+          fp.parse_double_flag("--crit-exp", i);
     } else if (!std::strcmp(argv[i], "--backend")) {
-      g_route_opt.rr_backend = parse_backend_flag("--backend", argc, argv, i);
-    } else if (!std::strcmp(argv[i], "--partition")) {
-      g_route_opt.partition_parallel =
-          parse_bool_flag("--partition", argc, argv, i);
-    } else if (!std::strcmp(argv[i], "--partition-size")) {
-      g_route_opt.partition_size =
-          parse_size_flag("--partition-size", argc, argv, i);
+      g_route_opt.rr_backend = parse_backend_flag(fp, "--backend", i);
     } else if (!std::strcmp(argv[i], "--max-w")) {
       g_route_opt.max_channel_width =
-          parse_size_flag("--max-w", argc, argv, i);
+          fp.parse_size_flag("--max-w", i);
     } else if (!std::strcmp(argv[i], "--verify-la")) {
       // Shadow every directed search with a zero-heuristic Dijkstra on
       // the same cost state: proves admissibility (suboptimal must stay
@@ -411,7 +343,7 @@ int main(int argc, char** argv) {
       g_route_opt.verify_lookahead = true;
     } else if (!std::strcmp(argv[i], "--circuits")) {
       circuits.clear();
-      std::string s = flag_operand("--circuits", argc, argv, i);
+      std::string s = fp.flag_operand("--circuits", i);
       std::size_t pos = 0;
       while (pos != std::string::npos) {
         const std::size_t c = s.find(',', pos);
@@ -423,8 +355,8 @@ int main(int argc, char** argv) {
                    "usage: route_perf [--out FILE] [--circuits a,b,c] "
                    "[--smoke] [--scale] [--threads N] [--astar F] "
                    "[--par 0|1] [--timing] [--crit-exp E] "
-                   "[--backend explicit|implicit] [--partition 0|1] "
-                   "[--partition-size N] [--max-w N] [--verify-la]\n");
+                   "[--backend explicit|implicit] [--max-w N] "
+                   "[--verify-la]\n");
       return 2;
     }
   }
@@ -438,13 +370,12 @@ int main(int argc, char** argv) {
 
   std::printf(
       "route_perf — PathFinder hot-path benchmark (%zu threads, "
-      "astar=%.2f, net_parallel=%d, timing=%d, backend=%s, partition=%d)\n\n",
+      "astar=%.2f, net_parallel=%d, timing=%d, backend=%s)\n\n",
       ThreadPool::current().thread_count(), g_route_opt.astar_factor,
       static_cast<int>(g_route_opt.net_parallel),
       static_cast<int>(g_route_opt.timing_driven),
       g_route_opt.rr_backend == RrBackend::kImplicit ? "implicit"
-                                                     : "explicit",
-      static_cast<int>(g_route_opt.partition_parallel));
+                                                     : "explicit");
   std::vector<CircuitReport> reps;
   auto report = [&](const CircuitReport& r) {
     if (r.infeasible) {

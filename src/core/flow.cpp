@@ -70,8 +70,7 @@ ChannelWidthResult flow_min_channel_width(Netlist netlist,
   const Placement pl =
       place(netlist, packing, opt.arch, nx, ny, opt.place);
   RouteOptions ropt = opt.route;
-  if (opt.artifact_cache != nullptr && ropt.astar_factor > 0.0 &&
-      !ropt.lookahead) {
+  if (opt.artifact_cache != nullptr && !ropt.lookahead) {
     // The lookahead is W-independent, so the cache can hand the probe
     // table to find_min_channel_width up front — same table it would
     // build itself (Wmin probes are congestion-only, so no delay

@@ -10,7 +10,6 @@
 #include <unordered_set>
 
 #include "timing/criticality.hpp"
-#include "util/thread_pool.hpp"
 
 #if defined(__GNUC__) || defined(__clang__)
 #define NF_ALWAYS_INLINE __attribute__((always_inline))
@@ -164,11 +163,10 @@ inline NetCostModel::Box full_scan(const PlacedNet& n,
 
 /// Geometry-only scan with no pin substitution — the in-place
 /// apply_swap path scans already-mutated locations, so the two per-pin
-/// substitution compares drop out of the gather, and the serial
-/// annealer never consults the edge-occupancy counts (they exist for
-/// move_dim, which only the batch propose path runs), so the equality
-/// count pass drops out too. Counts are left zero; the batch annealer
-/// re-derives them with refresh_counts() before it ever reads them.
+/// substitution compares drop out of the gather, and the annealer never
+/// consults the edge-occupancy counts (they exist for move_dim, which
+/// only propose() runs), so the equality count pass drops out too.
+/// Counts are left zero.
 inline NetCostModel::Box direct_scan(const PlacedNet& n,
                                      const std::vector<BlockLoc>& locs) {
   NetCostModel::Box box;
@@ -339,28 +337,6 @@ double NetCostModel::propose(const std::vector<BlockLoc>& locs, std::size_t a,
   return out.delta;
 }
 
-NetCostModel::Box NetCostModel::rescan_net(std::size_t net,
-                                           const std::vector<BlockLoc>& locs,
-                                           std::size_t a, const BlockLoc& new_a,
-                                           std::size_t b,
-                                           const BlockLoc& new_b) const {
-  Box nb = scan_box((*nets_)[net], locs, a, new_a, b, new_b);
-  finish_cost(nb, net);
-  return nb;
-}
-
-void NetCostModel::refresh_counts(const std::vector<BlockLoc>& locs) {
-  static const BlockLoc kNowhere{};
-  for (std::size_t n = 0; n < boxes_.size(); ++n) {
-    const Box b =
-        full_scan((*nets_)[n], locs, kNoBlock, kNowhere, kNoBlock, kNowhere);
-    boxes_[n].on_x_lo = b.on_x_lo;
-    boxes_[n].on_x_hi = b.on_x_hi;
-    boxes_[n].on_y_lo = b.on_y_lo;
-    boxes_[n].on_y_hi = b.on_y_hi;
-  }
-}
-
 double NetCostModel::apply_swap(std::vector<BlockLoc>& locs, std::size_t a,
                                 const BlockLoc& dest, std::size_t b,
                                 Pending& undo) {
@@ -440,8 +416,7 @@ void NetCostModel::commit(const Pending& p) {
 
 namespace {
 
-/// One speculative move: drawn from a per-slot forked RNG stream, cost
-/// evaluated against frozen state, committed (or replayed) serially.
+/// One proposed move and the undo log of its in-place evaluation.
 struct Proposal {
   std::size_t a = NetCostModel::kNoBlock;
   std::size_t b = NetCostModel::kNoBlock;
@@ -449,8 +424,6 @@ struct Proposal {
   bool is_logic = false;
   bool valid = false;  ///< Degenerate draws (same site / self swap) = false.
   int gen = 0;         ///< 0 uniform, 1 weighted-centroid, 2 median-region.
-  double u = 0.0;      ///< Pre-drawn acceptance uniform (batch mode only).
-  double delta = 0.0;
   NetCostModel::Pending pending;
 };
 
@@ -472,11 +445,6 @@ struct Annealer {
   std::vector<std::pair<std::size_t, std::size_t>> io_sites;  // (x, y)
   std::vector<std::size_t> io_site_index;  // keyed like site_key()
 
-  // Epoch stamps for batch-commit conflict detection (batch mode only).
-  std::vector<std::uint32_t> net_epoch, block_epoch, slot_epoch;
-  std::uint32_t epoch = 0;
-  std::vector<Proposal> batch;
-
   // Directed-move state: adaptive generator probabilities (uniform,
   // centroid, median), per-temperature accept stats, and the
   // criticality-biased target blocks of the timing phase.
@@ -486,8 +454,6 @@ struct Annealer {
   bool timing_phase = false;
 
   Proposal scratch;
-  NetCostModel::Pending discard;
-  NetCostModel::Pending repaired;  ///< Scratch for batch stale repair.
 
   static constexpr std::size_t kEmpty = static_cast<std::size_t>(-1);
 
@@ -507,12 +473,6 @@ struct Annealer {
 
   std::size_t site_key(std::size_t x, std::size_t y) const {
     return y * (nx + 2) + x;
-  }
-
-  /// One stamp slot per (site, sub-slot) so batch conflict detection can
-  /// see IO pad sub-slot collisions as well as logic-cell collisions.
-  std::size_t slot_stamp_key(const BlockLoc& l) const {
-    return site_key(l.x, l.y) * (arch.io_per_pad + 1) + l.sub;
   }
 
   void initial_place() {
@@ -564,13 +524,6 @@ struct Annealer {
       io_at[ds][dest.sub] = a;
       io_at[ss][src.sub] = (b == kEmpty) ? kEmpty : b;
     }
-  }
-
-  void apply_move(std::size_t a, std::size_t b, const BlockLoc& src,
-                  const BlockLoc& dest, bool is_logic) {
-    locs[a] = dest;
-    if (b != kEmpty) locs[b] = src;
-    commit_occupancy(a, b, src, dest, is_logic);
   }
 
   // ---- move generation --------------------------------------------------
@@ -642,9 +595,9 @@ struct Annealer {
     return true;
   }
 
-  /// Draw one move from `r` against the current (frozen, in batch mode)
-  /// placement state. Reproduces the seed draw sequence exactly when
-  /// allow_directed is false: block, then destination coordinates/site.
+  /// Draw one move from `r` against the current placement state.
+  /// Reproduces the seed draw sequence exactly when allow_directed is
+  /// false: block, then destination coordinates/site.
   void gen_move(Rng& r, double range, bool allow_directed, Proposal& p) const {
     p.valid = false;
     p.b = kEmpty;
@@ -698,12 +651,10 @@ struct Annealer {
     p.valid = true;
   }
 
-  // ---- serial discipline ------------------------------------------------
-
   /// One proposed move; returns true if accepted. With allow_directed
   /// false this is draw-for-draw and bit-for-bit the seed annealer's
-  /// try_move, except that a rejected move discards the pending
-  /// evaluation instead of mutating and recomputing back.
+  /// try_move, except that a rejected move is reversed from the undo log
+  /// instead of recomputed back.
   bool try_move(double t, double range = 1e9, bool allow_directed = false) {
     ++counters.proposed;
     gen_move(rng, range, allow_directed, scratch);
@@ -712,42 +663,10 @@ struct Annealer {
       if (scratch.gen != 0) ++counters.directed;
     }
     if (!scratch.valid) return false;
-    if (opt.naive_cost) {
-      // Baseline kernel: evaluate through the non-mutating propose path
-      // (full rescans, pending record, discard-and-recompute on reject)
-      // so the bench can price the speculative-evaluation machinery the
-      // batch mode runs on.
-      scratch.pending.clear();
-      const double delta = model.propose_naive(
-          locs, scratch.a, scratch.dest, scratch.b, scratch.src,
-          scratch.pending);
-      counters.rescans += scratch.pending.rescans;
-      const bool accept = delta <= 0.0 || rng.uniform() < std::exp(-delta / t);
-      if (accept) {
-        model.commit(scratch.pending);
-        apply_move(scratch.a, scratch.b, scratch.src, scratch.dest,
-                   scratch.is_logic);
-        ++counters.accepted;
-        if (opt.directed_moves) {
-          ++gen_acc[static_cast<std::size_t>(scratch.gen)];
-        }
-        return true;
-      }
-      // The seed annealer mutated first and recomputed every touched net
-      // again to undo a reject; charge the baseline the same second scan.
-      discard.clear();
-      model.propose_naive(locs, scratch.a, scratch.dest, scratch.b,
-                          scratch.src, discard);
-      counters.rescans += discard.rescans;
-      return false;
-    }
-    // Serial fast path: mutate with an undo log. The evaluation is the
-    // seed annealer's do_swap discipline (in-place rescans, no merge
-    // walk), but where the seed paid a full second rescan to reverse a
-    // rejected move, the undo log restores the displaced boxes
-    // bit-for-bit with plain copies. The non-mutating propose/commit
-    // pair remains the engine of the speculative batch mode, which
-    // cannot mutate the frozen state it evaluates against.
+    // Mutate with an undo log. The evaluation is the seed annealer's
+    // do_swap discipline (in-place rescans, no merge walk), but where the
+    // seed paid a full second rescan to reverse a rejected move, the undo
+    // log restores the displaced boxes bit-for-bit with plain copies.
     scratch.pending.clear();
     const double delta = model.apply_swap(locs, scratch.a, scratch.dest,
                                           scratch.b, scratch.pending);
@@ -765,181 +684,12 @@ struct Annealer {
     return false;
   }
 
-  // ---- deterministic parallel batches -----------------------------------
-
-  void init_batch_state() {
-    net_epoch.assign(nets.size(), 0);
-    block_epoch.assign(pack.blocks.size(), 0);
-    slot_epoch.assign((nx + 2) * (ny + 2) * (arch.io_per_pad + 1), 0);
-    batch.resize(opt.batch_moves);
-  }
-
-  std::size_t occupant(const Proposal& p) const {
-    if (p.is_logic) return logic_at[(p.dest.x - 1) + (p.dest.y - 1) * nx];
-    const std::size_t site = io_site_index[site_key(p.dest.x, p.dest.y)];
-    return io_at[site][p.dest.sub];
-  }
-
-  /// Block-or-slot staleness: an earlier commit moved one of the blocks
-  /// or retargeted one of the slots this proposal resolved against the
-  /// frozen state. The move itself is no longer the move that was drawn
-  /// — it must be fully re-resolved and re-evaluated.
-  bool hard_stale(const Proposal& p) const {
-    return block_epoch[p.a] == epoch ||
-           (p.b != kEmpty && block_epoch[p.b] == epoch) ||
-           slot_epoch[slot_stamp_key(p.src)] == epoch ||
-           slot_epoch[slot_stamp_key(p.dest)] == epoch;
-  }
-
-  /// Net-only staleness: the move is still exactly the drawn move (both
-  /// blocks and slots untouched), but an earlier commit moved a pin of
-  /// some net this proposal also touches, so part of its frozen cost
-  /// evaluation is invalid. Repairable per net — no full re-evaluation.
-  bool nets_stale(const Proposal& p) const {
-    for (std::size_t n : model.nets_of(p.a)) {
-      if (net_epoch[n] == epoch) return true;
-    }
-    if (p.b != kEmpty) {
-      for (std::size_t n : model.nets_of(p.b)) {
-        if (net_epoch[n] == epoch) return true;
-      }
-    }
-    return false;
-  }
-
-  void stamp(const Proposal& p) {
-    block_epoch[p.a] = epoch;
-    if (p.b != kEmpty) block_epoch[p.b] = epoch;
-    slot_epoch[slot_stamp_key(p.src)] = epoch;
-    slot_epoch[slot_stamp_key(p.dest)] = epoch;
-    // Every touched net is stamped, not just those whose box changed: a
-    // frozen evaluation elsewhere may have derived its entry from a full
-    // rescan, which reads every pin position of the net — so any pin
-    // move at all invalidates reuse of that entry, box change or not.
-    for (std::size_t n : model.nets_of(p.a)) net_epoch[n] = epoch;
-    if (p.b != kEmpty) {
-      for (std::size_t n : model.nets_of(p.b)) net_epoch[n] = epoch;
-    }
-  }
-
-  /// Repair a net-only-stale proposal in place: walk the canonical
-  /// touched-net order with a cursor into the frozen pending entries
-  /// (they were produced in that same order). Entries of epoch-clean
-  /// nets are reused as-is — no pin of such a net moved this batch, so
-  /// the frozen evaluation is still exact — and only the epoch-stamped
-  /// nets are rescanned against the live state. Serial (commit loop)
-  /// only; deterministic because it depends only on slot order.
-  void repair(Proposal& p) {
-    repaired.clear();
-    const std::vector<NetCostModel::PendingNet>& pend = p.pending.nets;
-    std::size_t cursor = 0;
-    model.for_each_touched(p.a, p.b, [&](std::size_t n, bool, bool) {
-      const bool has_entry = cursor < pend.size() && pend[cursor].net == n;
-      if (net_epoch[n] != epoch) {
-        if (has_entry) {
-          repaired.delta += pend[cursor].box.cost - model.box(n).cost;
-          repaired.nets.push_back(pend[cursor]);
-        }
-      } else {
-        NetCostModel::Box nb =
-            model.rescan_net(n, locs, p.a, p.dest, p.b, p.src);
-        ++repaired.rescans;
-        repaired.delta += nb.cost - model.box(n).cost;
-        repaired.nets.push_back({n, nb});
-      }
-      if (has_entry) ++cursor;
-    });
-    p.pending.nets.swap(repaired.nets);
-    p.pending.delta = repaired.delta;  // commit() applies pending.delta
-    p.pending.rescans += repaired.rescans;
-    p.delta = repaired.delta;
-    counters.rescans += repaired.rescans;
-  }
-
-  /// Generate + evaluate `count` speculative moves in parallel against
-  /// the frozen state, then commit serially in slot order. One next_u64
-  /// on the main stream is the fork base; slot i derives its own stream,
-  /// so the outcome depends only on the batch structure — never on the
-  /// thread count. Returns the number of accepted moves.
-  std::size_t run_batch(double t, double range, std::size_t count) {
-    const std::uint64_t base = rng.next_u64();
-    const bool allow_directed = opt.directed_moves;
-    parallel_for(count, [&](std::size_t i) {
-      Rng r = Rng::from_stream(base, i);
-      Proposal& p = batch[i];
-      p.pending.clear();
-      gen_move(r, range, allow_directed, p);
-      p.u = r.uniform();  // pre-drawn: replay must not reorder draws
-      if (p.valid) {
-        p.delta = model.propose(locs, p.a, p.dest, p.b, p.src, p.pending);
-      }
-    });
-    ++counters.batches;
-    ++epoch;
-    std::size_t accepted = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-      Proposal& p = batch[i];
-      ++counters.proposed;
-      if (opt.directed_moves) {
-        ++gen_tried[static_cast<std::size_t>(p.gen)];
-        if (p.gen != 0) ++counters.directed;
-      }
-      if (!p.valid) continue;
-      counters.rescans += p.pending.rescans;
-      if (hard_stale(p)) {
-        // An earlier commit in this batch moved one of the blocks or
-        // retargeted one of the slots this proposal read frozen: the
-        // drawn move itself is stale. Re-resolve and re-evaluate
-        // serially against the live state, keeping the slot's pre-drawn
-        // uniform.
-        ++counters.conflicts;
-        p.src = locs[p.a];
-        if (p.is_logic) {
-          if (p.dest.x == p.src.x && p.dest.y == p.src.y) continue;
-        } else if (p.dest.x == p.src.x && p.dest.y == p.src.y &&
-                   p.dest.sub == p.src.sub) {
-          continue;
-        }
-        p.b = occupant(p);
-        if (p.b == p.a) continue;
-        p.pending.clear();
-        p.delta = model.propose(locs, p.a, p.dest, p.b, p.src, p.pending);
-        counters.rescans += p.pending.rescans;
-        ++counters.replays;
-      } else if (nets_stale(p)) {
-        // The move is intact but an earlier commit moved pins of nets it
-        // touches: patch only those nets' evaluations.
-        ++counters.conflicts;
-        repair(p);
-        ++counters.repairs;
-      }
-      const bool accept = p.delta <= 0.0 || p.u < std::exp(-p.delta / t);
-      if (!accept) continue;
-      model.commit(p.pending);
-      apply_move(p.a, p.b, p.src, p.dest, p.is_logic);
-      stamp(p);
-      ++accepted;
-      ++counters.accepted;
-      if (opt.directed_moves) ++gen_acc[static_cast<std::size_t>(p.gen)];
-    }
-    return accepted;
-  }
-
   // ---- schedule ---------------------------------------------------------
 
   std::size_t sweep(double t, double range, std::size_t moves) {
     std::size_t accepted = 0;
-    if (opt.batch_moves >= 2) {
-      std::size_t done = 0;
-      while (done < moves) {
-        const std::size_t n = std::min(opt.batch_moves, moves - done);
-        accepted += run_batch(t, range, n);
-        done += n;
-      }
-    } else {
-      for (std::size_t m = 0; m < moves; ++m) {
-        accepted += try_move(t, range, opt.directed_moves);
-      }
+    for (std::size_t m = 0; m < moves; ++m) {
+      accepted += try_move(t, range, opt.directed_moves);
     }
     return accepted;
   }
@@ -991,9 +741,8 @@ struct Annealer {
   }
 
   /// Initial temperature: 20x the std-dev of random-move deltas [Betz 99].
-  /// Always probes with the serial uniform discipline, so it is both
-  /// seed-identical in the default configuration and thread-count
-  /// independent in every other one.
+  /// Always probes with the uniform generator, so it is seed-identical
+  /// whether or not directed moves are on.
   double probe_temperature() {
     const std::size_t n_blocks = pack.blocks.size();
     double sum = 0.0, sum2 = 0.0;
@@ -1014,12 +763,7 @@ struct Annealer {
     initial_place();
     model.rebuild(locs);
     if (nets.empty()) return;
-    if (opt.batch_moves >= 2) init_batch_state();
-    const double t_start = probe_temperature();
-    // The serial probe above ran count-free apply_swap scans; batch-mode
-    // move_dim needs the edge counts back before the first batch.
-    if (opt.batch_moves >= 2) model.refresh_counts(locs);
-    anneal(t_start);
+    anneal(probe_temperature());
 
     if (opt.timing_driven) {
       // Criticality-weighted refinement: nets on (estimated) critical

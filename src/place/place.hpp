@@ -3,22 +3,17 @@
 // range-limited swap moves. Logic clusters occupy the nx-by-ny grid; IO
 // blocks occupy perimeter pad slots.
 //
-// The annealer is built from three layers (mirroring the router):
-//  - NetCostModel: incremental bounding-box cost with per-edge pin counts,
-//    so a proposal is evaluated in O(1) per touched net (full rescan only
-//    when a solo edge pin moves inward) and *without* mutating committed
-//    state — rejected moves cost nothing to undo.
+// The annealer is built from two layers:
+//  - NetCostModel: bounding-box net costs. The annealer's serial kernel
+//    rescans the touched nets in place with an undo log (apply_swap /
+//    undo_swap); the non-mutating propose()/commit() pair, with per-edge
+//    pin counts that evaluate a move in O(1) per touched net, serves the
+//    ECO flow.
 //  - Move generators: uniform range-limited swaps (the default, which
 //    reproduces the seed annealer bit-for-bit) plus opt-in
 //    weighted-centroid and median-region directed generators under an
 //    adaptive probability schedule, with criticality-biased block picks
 //    in the timing-driven phase.
-//  - Deterministic parallel annealing (PlaceOptions::batch_moves >= 2):
-//    speculative move batches are generated and evaluated on the
-//    NF_THREADS pool against frozen placement state from per-slot forked
-//    RNG streams, then committed serially in slot order with
-//    epoch-stamped conflict detection and serial replay — bit-identical
-//    at any thread count.
 #pragma once
 
 #include <cstdint>
@@ -48,18 +43,12 @@ struct PlacedNet {
 };
 
 /// Work counters for one place() call (always on; the bench harness and
-/// the TSan/determinism tests read them).
+/// the determinism tests read them).
 struct PlaceCounters {
-  std::uint64_t proposed = 0;   ///< Moves drawn, incl. degenerate no-ops.
-  std::uint64_t accepted = 0;   ///< Moves committed.
-  std::uint64_t rescans = 0;    ///< Incremental-edge-collapse full rescans.
-  std::uint64_t directed = 0;   ///< Proposals from directed generators.
-  std::uint64_t batches = 0;    ///< Speculative batches evaluated.
-  std::uint64_t conflicts = 0;  ///< Stale proposals detected at commit.
-  std::uint64_t repairs = 0;    ///< Net-level stale: only touched-and-
-                                ///< changed nets re-evaluated serially.
-  std::uint64_t replays = 0;    ///< Block/slot-level stale: full serial
-                                ///< re-resolve and re-evaluation.
+  std::uint64_t proposed = 0;  ///< Moves drawn, incl. degenerate no-ops.
+  std::uint64_t accepted = 0;  ///< Moves committed.
+  std::uint64_t rescans = 0;   ///< Incremental-edge-collapse full rescans.
+  std::uint64_t directed = 0;  ///< Proposals from directed generators.
 };
 
 struct Placement {
@@ -84,21 +73,10 @@ struct PlaceOptions {
   bool timing_driven = false;
   /// Weight emphasis for critical nets: w = 1 + timing_weight * crit^2.
   double timing_weight = 4.0;
-  /// Speculative move-batch size for the deterministic parallel annealer.
-  /// 0 (the default) and 1 keep the serial discipline that reproduces the
-  /// seed annealer bit-for-bit; >= 2 evaluates batches of this many moves
-  /// on the NF_THREADS pool. Batch results are bit-identical at any
-  /// thread count (the batch size, not the thread count, shapes the
-  /// anneal trajectory).
-  std::size_t batch_moves = 0;
   /// Enable the weighted-centroid / median-region move generators under
   /// an adaptive probability schedule (plus criticality-biased block
   /// picks in the timing-driven phase).
   bool directed_moves = false;
-  /// Evaluate proposals with the seed annealer's full-rescan kernel
-  /// (identical placements; O(pins) per touched net per proposal and a
-  /// second scan on reject). Perf baseline for bench/place_perf --naive.
-  bool naive_cost = false;
 };
 
 /// Incremental bounding-box net-cost engine. Owns per-net boxes with
@@ -178,9 +156,8 @@ class NetCostModel {
   /// Visit every net touching block a and/or block b exactly once, in
   /// the canonical evaluation order (a's nets ascending, then b's nets
   /// not shared with a, ascending) as f(net, moves_a, moves_b). A merge
-  /// over the two sorted lists — no per-net membership search. propose()
-  /// and the batch annealer's stale-repair walk both use this order, so
-  /// their floating-point accumulations are bit-identical.
+  /// over the two sorted lists — no per-net membership search — in the
+  /// order whose floating-point accumulation propose() must reproduce.
   template <typename F>
   void for_each_touched(std::size_t a, std::size_t b, F&& f) const {
     const std::vector<std::size_t>& la = block_nets_[a];
@@ -204,15 +181,16 @@ class NetCostModel {
 
   /// Evaluate moving block a to new_a and (if b != kNoBlock) block b to
   /// new_b against the committed state, filling `out` and returning the
-  /// cost delta. Does not mutate the model: safe to call concurrently
-  /// from parallel batch evaluation. `locs` are the committed locations.
+  /// cost delta. Does not mutate the model. `locs` are the committed
+  /// locations. Edge counts must be valid: call after rebuild(), not
+  /// after apply_swap() (which leaves them zero).
   double propose(const std::vector<BlockLoc>& locs, std::size_t a,
                  const BlockLoc& new_a, std::size_t b, const BlockLoc& new_b,
                  Pending& out) const;
 
   /// The seed annealer's kernel: full O(pins) rescan of every touched
-  /// net. Bit-identical delta to propose(); kept as the measured perf
-  /// baseline (PlaceOptions::naive_cost) and a second oracle angle.
+  /// net. Bit-identical delta to propose(); the per-move oracle of
+  /// tests/prop/prop_place_diff.
   double propose_naive(const std::vector<BlockLoc>& locs, std::size_t a,
                        const BlockLoc& new_a, std::size_t b,
                        const BlockLoc& new_b, Pending& out) const;
@@ -247,20 +225,6 @@ class NetCostModel {
   /// Fold an accepted apply_swap delta into the tracked total — the
   /// same one += per accepted move the seed annealer performed.
   void book_delta(double d) { cost_ += d; }
-
-  /// Re-derive every box's edge-occupancy counts from `locs`. The
-  /// serial apply_swap path skips count maintenance (nothing serial
-  /// reads them); the batch annealer calls this once before its first
-  /// batch so move_dim sees valid counts. Geometry and costs are not
-  /// touched, so the cost trajectory is unaffected.
-  void refresh_counts(const std::vector<BlockLoc>& locs);
-
-  /// Fully rescan one net against `locs` with the move applied and
-  /// derive its cost — the batch annealer's net-level stale repair uses
-  /// this for exactly the nets invalidated by earlier commits.
-  Box rescan_net(std::size_t net, const std::vector<BlockLoc>& locs,
-                 std::size_t a, const BlockLoc& new_a, std::size_t b,
-                 const BlockLoc& new_b) const;
 
  private:
   Box scan_box(const PlacedNet& n, const std::vector<BlockLoc>& locs,

@@ -29,50 +29,6 @@ class OveruseTracker {
     init(std::move(capacities));
   }
 
-  /// Deferred-side-effect occupancy changes for the partition-parallel
-  /// router. Workers own disjoint RR-node-id sets, so the per-id state
-  /// (occ_, over_) can be written directly without synchronization; the
-  /// two pieces of *shared* state — the overuse count and the lazy list —
-  /// are recorded here instead and folded in by absorb() at the join
-  /// point, in deterministic partition order.
-  struct DeferredOps {
-    std::vector<RrNodeId> newly_over;  ///< Became overused (list candidates).
-    std::ptrdiff_t n_over_delta = 0;
-  };
-
-  void inc_deferred(RrNodeId id, DeferredOps& ops) {
-    ++occ_[id];
-    if (!over_[id] && occ_[id] > cap_[id]) {
-      over_[id] = 1;
-      ++ops.n_over_delta;
-      ops.newly_over.push_back(id);
-    }
-  }
-
-  void dec_deferred(RrNodeId id, DeferredOps& ops) {
-    --occ_[id];
-    if (over_[id] && occ_[id] <= cap_[id]) {
-      over_[id] = 0;
-      --ops.n_over_delta;
-    }
-  }
-
-  /// Fold a worker's deferred shared-state changes in. The in_list_ check
-  /// happens here, exactly as inc() would have done it (lazily-dropped
-  /// entries still flagged in_list_ suppress duplicates the same way).
-  void absorb(DeferredOps& ops) {
-    n_over_ = static_cast<std::size_t>(
-        static_cast<std::ptrdiff_t>(n_over_) + ops.n_over_delta);
-    for (const RrNodeId id : ops.newly_over) {
-      if (!in_list_[id]) {
-        in_list_[id] = 1;
-        list_.push_back(id);
-      }
-    }
-    ops.newly_over.clear();
-    ops.n_over_delta = 0;
-  }
-
   std::size_t size() const { return occ_.size(); }
   std::uint16_t occ(RrNodeId id) const { return occ_[id]; }
   std::uint16_t capacity(RrNodeId id) const { return cap_[id]; }

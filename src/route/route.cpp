@@ -26,6 +26,18 @@ double wall_s() {
       .count();
 }
 
+/// The lookahead weight scales every heuristic evaluation; zero, negative
+/// or non-finite weights have no meaning for the search.
+void require_valid_astar_factor(double f) {
+  if (!std::isfinite(f) || f <= 0.0) {
+    char buf[96];
+    std::snprintf(buf, sizeof buf,
+                  "RouteOptions::astar_factor must be finite and > 0 (got %g)",
+                  f);
+    throw std::invalid_argument(buf);
+  }
+}
+
 // Allocation-free PathFinder search core with an A* geometric lookahead
 // (src/arch/lookahead.hpp) and deterministic net-level parallelism.
 //
@@ -40,11 +52,12 @@ double wall_s() {
 //    zero heap allocations regardless of the thread count
 //    (RouteCounters::scratch_grows counts per-arena warm-up growth).
 //
-// With net_parallel=false and astar_factor=0 the router is bit-identical
-// to the straightforward serial implementation it replaces: same heap
-// algorithm and comparator, same relaxation epsilons, same tie-breaking
-// jitter, same occupancy sequencing — the legacy golden fixtures in
-// tests/test_route_golden.cpp pin Wmin and whole-suite tree checksums.
+// Both schedulers (serial and batched net_parallel) are bit-identical to
+// the straightforward transcription in src/verify/reference_route.cpp:
+// same heap algorithm and comparator, same relaxation epsilons, same
+// tie-breaking jitter, same occupancy sequencing (prop_route_diff). The
+// default golden fixtures in tests/test_route_golden.cpp pin Wmin and
+// whole-suite tree checksums at 1 and 8 threads.
 struct Router {
   const RrGraphView g;  ///< Backend-dispatch view (two pointers, by value).
   const Placement& pl;
@@ -57,13 +70,12 @@ struct Router {
   /// route_base_cost per node (immutable for a given graph).
   std::vector<double> base_cost;
 
-  /// Admissible A* lookahead (null when astar_factor == 0). Either the
-  /// caller-provided shared table (RouteOptions::lookahead) or one built
-  /// here on demand.
+  /// A* lookahead table: either the caller-provided shared table
+  /// (RouteOptions::lookahead) or one built here on demand.
   std::shared_ptr<const RouteLookahead> la;
 
-  /// Timing-driven state (all null/zero in congestion-only mode, which
-  /// keeps every hot-loop expression bit-identical to the legacy path).
+  /// Timing-driven state (all null/zero in congestion-only mode, whose
+  /// hot-loop expressions then carry no timing terms).
   RouterTimingHook* const timing;    ///< Non-null iff timing-driven.
   const double* node_delay = nullptr;  ///< Per-node entering delay [s].
   double spb = 0.0;                  ///< Seconds per unit base cost.
@@ -148,11 +160,6 @@ struct Router {
     /// past the worst-case out-degree so it never grows in the loop.
     std::vector<RrEdge> edge_buf;
 
-    /// Set by a successful route attempt: edges before this index are the
-    /// pre-seeded (still-committed) part of the tree, edges from it on
-    /// are new and need their occupancy committed.
-    std::size_t seed_edges = 0;
-
     /// Work done through this arena; summed into the routing totals.
     RouteCounters cnt;
 
@@ -202,14 +209,12 @@ struct Router {
   std::vector<Scratch*> free_scratches;
   std::mutex scratch_mu;
 
-  // Serial-only marks/buffers (rip-up dedup, prune, batch conflict marks,
-  // wire census) — never touched from worker threads.
+  // Serial-only marks (rip-up dedup, batch conflict marks, wire census) —
+  // never touched from worker threads.
   std::vector<std::uint32_t> smark;
   std::uint32_t smark_cur = 0;
   std::vector<std::uint32_t> bmark;
   std::uint32_t bmark_cur = 0;
-  std::vector<std::pair<RrNodeId, RrNodeId>> kept;
-  std::vector<std::pair<RrNodeId, RrNodeId>> ppath;
 
   std::size_t iteration = 1;
   /// Router-level counters (serial bookkeeping + wall times); totals add
@@ -219,35 +224,28 @@ struct Router {
   /// Worst-case node out-degree bound, for Scratch::edge_buf.
   std::size_t edge_reserve = 0;
 
-  /// Nets whose latest route needed the unconstrained-window retry: their
-  /// tree can lie anywhere on the fabric, so the partition scheduler must
-  /// keep them serial. Written only from serial route_net calls.
-  std::vector<std::uint8_t> routed_unbounded;
-
   explicit Router(const RrGraphView& graph, const Placement& placement,
                   const RouteOptions& options)
       : g(graph), pl(placement), opt(options), occ(graph),
         timing(options.timing_driven ? options.timing_hook : nullptr) {
-    if (opt.astar_factor > 0.0) {
-      if (opt.lookahead) {
-        la = opt.lookahead;  // shared: width probes / artifact cache
-        cnt.t_lookahead_build_s = opt.lookahead_build_s;
-        cnt.lookahead_cached = opt.lookahead_from_cache ? 1 : 0;
-      } else if (timing) {
-        // Delay-annotated table so directed search stays admissible in
-        // the blended (seconds) cost space.
-        const DelayProfile prof = timing->delay_profile();
-        la = std::make_shared<const RouteLookahead>(g, &prof);
-        cnt.t_lookahead_build_s = la->build_seconds();
-      } else {
-        la = std::make_shared<const RouteLookahead>(g);
-        cnt.t_lookahead_build_s = la->build_seconds();
-      }
+    if (opt.lookahead) {
+      la = opt.lookahead;  // shared: width probes / artifact cache
+      cnt.t_lookahead_build_s = opt.lookahead_build_s;
+      cnt.lookahead_cached = opt.lookahead_from_cache ? 1 : 0;
+    } else if (timing) {
+      // Delay-annotated table so directed search stays admissible in
+      // the blended (seconds) cost space.
+      const DelayProfile prof = timing->delay_profile();
+      la = std::make_shared<const RouteLookahead>(g, &prof);
+      cnt.t_lookahead_build_s = la->build_seconds();
+    } else {
+      la = std::make_shared<const RouteLookahead>(g);
+      cnt.t_lookahead_build_s = la->build_seconds();
     }
     if (timing) {
       node_delay = timing->node_delay();
       spb = timing->sec_per_base();
-      if (la && la->has_delay_table()) delay_tab = la->delay_table();
+      if (la->has_delay_table()) delay_tab = la->delay_table();
     }
     const std::size_t n = g.node_count();
     history.assign(n, 0.0f);
@@ -264,20 +262,17 @@ struct Router {
                 nd.capacity,
                 static_cast<std::uint16_t>(nd.type == RrType::kSink ? 1 : 0),
                 0,
-                la ? la->node_key(nd) : 0,
+                la->node_key(nd),
                 0,
                 0.0};
     }
     smark.assign(n, 0);
     bmark.assign(n, 0);
     pres_fac = opt.first_iter_pres_fac;
-    kept.reserve(512);
-    ppath.reserve(512);
     // Out-degree upper bound: a dense-fanout OPIN can reach every start
     // over four adjacent channel positions (4W); a wire carries at most
     // two taps per covered tile plus three switch-box moves.
     edge_reserve = 4 * g.arch().W + 2 * std::max(g.nx(), g.ny()) + 8;
-    routed_unbounded.assign(pl.nets.size(), 0);
   }
 
   Scratch* acquire_scratch() {
@@ -329,19 +324,6 @@ struct Router {
     occ.dec(id);
     --hot[id].occ;
   }
-  /// Partition-worker variant: per-id state (occupancy, over flag, hot
-  /// mirror) is written directly — partitions own disjoint id sets — and
-  /// the shared overuse count/list changes are parked in `ops` for the
-  /// deterministic absorb at the join.
-  void inc_occ_deferred(RrNodeId id, OveruseTracker::DeferredOps& ops) {
-    occ.inc_deferred(id, ops);
-    ++hot[id].occ;
-  }
-  void dec_occ_deferred(RrNodeId id, OveruseTracker::DeferredOps& ops) {
-    occ.dec_deferred(id, ops);
-    --hot[id].occ;
-  }
-
   /// Rebuild the per-iteration node-cost cache. The small deterministic
   /// jitter breaks the lock-step oscillations PathFinder can fall into
   /// when two nets see identical costs for each other's resources.
@@ -368,20 +350,6 @@ struct Router {
     return hn.cost * (1.0 + over * pres_fac);
   }
 
-  /// Legacy Manhattan-distance lookahead (astar_factor == 0 only), in
-  /// expected base cost (distance scaled by ~1 per tile traversed).
-  double heuristic_from(const HotNode& a, int tx_lo, int tx_hi, int ty_lo,
-                        int ty_hi) const {
-    const auto clampdist = [](int lo1, int hi1, int lo2, int hi2) {
-      if (hi1 < lo2) return lo2 - hi1;
-      if (hi2 < lo1) return lo1 - hi2;
-      return 0;
-    };
-    const int dx = clampdist(a.x_lo, a.x_hi, tx_lo, tx_hi);
-    const int dy = clampdist(a.y_lo, a.y_hi, ty_lo, ty_hi);
-    return opt.astar_fac * static_cast<double>(dx + dy);
-  }
-
   static void prefetch(const void* p) {
 #if defined(__GNUC__) || defined(__clang__)
     __builtin_prefetch(p);
@@ -401,13 +369,8 @@ struct Router {
     const std::uint32_t ep = sc.cur_epoch;
     const std::uint32_t ov = sc.ov_cur;
     const HotNode& tn = hot[target];
-    const int tx_lo = tn.x_lo, tx_hi = tn.x_hi;
-    const int ty_lo = tn.y_lo, ty_hi = tn.y_hi;
-    const bool use_table = with_heur && la != nullptr;
-    const bool use_manhattan = with_heur && la == nullptr;
-    const float* la_tab = use_table ? la->table() : nullptr;
-    const std::int32_t tkey =
-        use_table ? la->target_key(tn.x_lo, tn.y_lo) : 0;
+    const float* la_tab = la->table();
+    const std::int32_t tkey = la->target_key(tn.x_lo, tn.y_lo);
     const double la_fac = opt.astar_factor;
     // Timing blend, hoisted per search (the criticality is a property of
     // the target connection): entering v costs
@@ -419,25 +382,17 @@ struct Router {
     const double inv_spb = tm ? (1.0 - crit) * spb : 0.0;
 
     auto h_of = [&](const HotNode& hn) -> double {
-      if (use_table) {
-        ++sc.cnt.lookahead_hits;
-        const std::size_t idx = static_cast<std::size_t>(
-            static_cast<std::int64_t>(hn.la_key) + tkey);
-        if (tm) {
-          const double dly =
-              delay_tab ? static_cast<double>(delay_tab[idx]) : 0.0;
-          return la_fac *
-                 (crit * dly + inv_spb * static_cast<double>(la_tab[idx]));
-        }
-        return la_fac * static_cast<double>(la_tab[idx]);
+      if (!with_heur) return 0.0;
+      ++sc.cnt.lookahead_hits;
+      const std::size_t idx = static_cast<std::size_t>(
+          static_cast<std::int64_t>(hn.la_key) + tkey);
+      if (tm) {
+        const double dly =
+            delay_tab ? static_cast<double>(delay_tab[idx]) : 0.0;
+        return la_fac *
+               (crit * dly + inv_spb * static_cast<double>(la_tab[idx]));
       }
-      if (use_manhattan) {
-        const double h = heuristic_from(hn, tx_lo, tx_hi, ty_lo, ty_hi);
-        // Manhattan distance bounds base cost, not delay: blend only the
-        // congestion half (still admissible — the delay half is >= 0).
-        return tm ? inv_spb * h : h;
-      }
-      return 0.0;
+      return la_fac * static_cast<double>(la_tab[idx]);
     };
     auto in_bb = [&](const HotNode& n) {
       return static_cast<int>(n.x_hi) >= x_lo &&
@@ -457,7 +412,7 @@ struct Router {
     // sentinel: -inf path_cost makes every later pop stale and every
     // relaxation attempt lose, with the prev chain left intact for the
     // backtrack and no new field in the packed RelaxNode.
-    const bool no_reexpand = use_table && la_fac > 1.0;
+    const bool no_reexpand = with_heur && la_fac > 1.0;
 
     sc.heap.clear();
     for (RrNodeId n : sc.tree_nodes) {
@@ -506,20 +461,20 @@ struct Router {
 
   enum class NetStatus { kOk, kReplay, kFail };
 
-  /// Route one net within its bounding window. Never mutates shared
-  /// occupancy on the way to success — the caller applies commit()
+  /// Route one net from scratch within its bounding window, overwriting
+  /// `out`. Never mutates shared occupancy — the caller applies commit()
   /// afterwards, which is what makes speculative parallel routing and
   /// serial routing share one code path. `speculative` turns the
   /// window-escape failure into kReplay (the serial replay owns retries);
-  /// non-speculative failure releases the pre-seeded tree occupancy and
-  /// reports kFail so route_net can retry unconstrained.
+  /// non-speculative failure reports kFail so route_net can retry
+  /// unconstrained.
   NetStatus route_net_bb(Scratch& sc, std::size_t net_idx,
                          const PlacedNet& net, RouteTree& out,
                          std::size_t bb_margin, bool speculative) {
-    const std::size_t seed_edges = out.edges.size();
     const BlockLoc& dloc = pl.locs[net.driver];
     const RrNodeId source = g.site(dloc.x, dloc.y).source;
     out.source = source;
+    out.edges.clear();
     out.sinks.clear();
 
     // Net bounding box (+margin) restricts expansion.
@@ -548,7 +503,7 @@ struct Router {
     sc.order.resize(sc.sink_nodes.size());
     sc.sink_keys.resize(sc.sink_nodes.size());
     if (timing) sc.sink_crit.resize(sc.sink_nodes.size());
-    const HotNode& sn = hot[source];
+    const RrNode src = g.node(source);
     for (std::uint32_t i = 0; i < sc.order.size(); ++i) {
       sc.order[i] = i;
       const HotNode& tn = hot[sc.sink_nodes[i]];
@@ -556,30 +511,20 @@ struct Router {
         const double crit = timing->criticality(net_idx, i);
         sc.sink_crit[i] = crit;
         const double inv_spb = (1.0 - crit) * spb;
-        if (la) {
-          const RrNode src = g.node(source);
-          const double dly =
-              delay_tab ? la->delay_estimate(src, tn.x_lo, tn.y_lo) : 0.0;
-          sc.sink_keys[i] =
-              opt.astar_factor *
-              (crit * dly + inv_spb * la->estimate(src, tn.x_lo, tn.y_lo));
-        } else {
-          sc.sink_keys[i] =
-              inv_spb * heuristic_from(sn, tn.x_lo, tn.x_hi, tn.y_lo,
-                                       tn.y_hi);
-        }
+        const double dly =
+            delay_tab ? la->delay_estimate(src, tn.x_lo, tn.y_lo) : 0.0;
+        sc.sink_keys[i] =
+            opt.astar_factor *
+            (crit * dly + inv_spb * la->estimate(src, tn.x_lo, tn.y_lo));
       } else {
         sc.sink_keys[i] =
-            la ? opt.astar_factor * la->estimate(g.node(source), tn.x_lo,
-                                                 tn.y_lo)
-               : heuristic_from(sn, tn.x_lo, tn.x_hi, tn.y_lo, tn.y_hi);
+            opt.astar_factor * la->estimate(src, tn.x_lo, tn.y_lo);
       }
     }
     // Timing mode routes the most critical sinks first (VPR order): the
     // earliest searches see an almost-empty tree, so critical
     // connections get the direct source paths and later, relaxed sinks
-    // branch around them. Congestion-only keeps the legacy near-to-far
-    // order bit-for-bit.
+    // branch around them. Congestion-only routes near-to-far.
     std::sort(sc.order.begin(), sc.order.end(),
               [&](std::uint32_t a, std::uint32_t b) {
                 if (timing && sc.sink_crit[a] != sc.sink_crit[b]) {
@@ -588,11 +533,11 @@ struct Router {
                 return sc.sink_keys[a] < sc.sink_keys[b];
               });
 
-    // Tree membership via epoch marks; seed from any pre-kept edges. In
-    // timing mode each tree node also carries its delay from the source
-    // (the same per-node stage delays the STA measures), so later sink
-    // searches start tree seeds at known = crit * delay-from-source: a
-    // critical sink no longer sees branching off a long meander as free.
+    // Tree membership via epoch marks. In timing mode each tree node also
+    // carries its delay from the source (the same per-node stage delays
+    // the STA measures), so later sink searches start tree seeds at
+    // known = crit * delay-from-source: a critical sink no longer sees
+    // branching off a long meander as free.
     ++sc.mark_cur;
     sc.tree_nodes.clear();
     sc.tree_nodes.push_back(source);
@@ -603,18 +548,6 @@ struct Router {
       }
       sc.node_tdel[source] = 0.0;
     }
-    for (std::size_t i = 0; i < seed_edges; ++i) {
-      const RrNodeId to = out.edges[i].second;
-      if (sc.mark[to] != sc.mark_cur) {
-        sc.mark[to] = sc.mark_cur;
-        sc.tree_nodes.push_back(to);
-        if (timing) {
-          sc.node_tdel[to] =
-              sc.node_tdel[out.edges[i].first] + node_delay[to];
-        }
-      }
-    }
-    const std::size_t n_seed = sc.tree_nodes.size();
 
     for (std::uint32_t oi : sc.order) {
       const RrNodeId target = sc.sink_nodes[oi];
@@ -626,7 +559,7 @@ struct Router {
       ++sc.cnt.sink_searches;
       const double crit = timing ? sc.sink_crit[oi] : 0.0;
       bool found;
-      if (opt.verify_lookahead && la) {
+      if (opt.verify_lookahead) {
         // Admissibility probe: a zero-heuristic Dijkstra on the identical
         // cost state first (its work excluded from the counters), then
         // the directed search, then compare optimal costs. The probe is
@@ -663,18 +596,9 @@ struct Router {
         found = search_sink(sc, target, x_lo, x_hi, y_lo, y_hi, true, crit);
       }
       if (!found) {
-        if (speculative) {
-          // Roll back to the seed tree; the serial replay will retry.
-          out.edges.resize(seed_edges);
-          out.sinks.clear();
-          return NetStatus::kReplay;
-        }
-        // Release the pre-seeded tree's occupancy (the source holds
-        // none; new nodes never took any — the overlay is discarded).
-        for (std::size_t i = 1; i < n_seed; ++i) {
-          dec_occ(sc.tree_nodes[i]);
-        }
-        return NetStatus::kFail;
+        // The partial tree took no occupancy (the overlay is discarded);
+        // the serial replay or the unconstrained retry starts over.
+        return speculative ? NetStatus::kReplay : NetStatus::kFail;
       }
       // Backtrace; new nodes join the tree and the occupancy overlay.
       sc.path.clear();
@@ -703,18 +627,14 @@ struct Router {
       }
       out.sinks.push_back(target);
     }
-    sc.seed_edges = seed_edges;
     return NetStatus::kOk;
   }
 
-  /// Route one net; tree written into `out`. `out` may arrive pre-seeded
-  /// with a congestion-free partial tree (prune_ripup) whose nodes still
-  /// hold occupancy; a fresh/empty `out` routes from scratch. Success
-  /// leaves the new edges' occupancy uncommitted (sc.seed_edges marks
-  /// where they start) — pair every kOk with commit(). kFail means a sink
-  /// was unreachable even unconstrained (graph disconnection — hard
-  /// failure); kReplay (speculative only) means the serial replay must
-  /// redo this net.
+  /// Route one net from scratch; tree written into `out`. Success leaves
+  /// the tree's occupancy uncommitted — pair every kOk with commit().
+  /// kFail means a sink was unreachable even unconstrained (graph
+  /// disconnection — hard failure); kReplay (speculative only) means the
+  /// serial replay must redo this net.
   NetStatus route_net(Scratch& sc, std::size_t net_idx, const PlacedNet& net,
                       RouteTree& out, std::size_t extra_bb,
                       bool speculative) {
@@ -727,39 +647,24 @@ struct Router {
     NetStatus st = route_net_bb(sc, net_idx, net, out,
                                 opt.bb_margin + extra_bb, speculative);
     if (st == NetStatus::kFail && !speculative) {
-      out = RouteTree{};
       ++sc.ov_cur;
-      // The retry's tree can land anywhere — flag the net so the
-      // partition scheduler keeps it serial from now on. Only serial
-      // calls reach here (speculative routing defers failures instead).
-      routed_unbounded[net_idx] = 1;
       st = route_net_bb(sc, net_idx, net, out, g.nx() + g.ny(), speculative);
     }
     if (sc.capacity() != cap_before) ++sc.cnt.scratch_grows;
     return st;
   }
 
-  /// Apply a routed net's occupancy: each edge appended by this route
-  /// added exactly one new tree node (its `to` — the backtrace only
-  /// traverses fresh nodes, pre-seeded tree nodes are search seeds), so
-  /// the edge tail sequence *is* the new-node sequence, in the same order
-  /// an inc-during-search router would have claimed them.
-  void commit(const RouteTree& t, std::size_t seed_edges) {
-    for (std::size_t i = seed_edges; i < t.edges.size(); ++i) {
-      inc_occ(t.edges[i].second);
+  /// Apply a routed net's occupancy: each edge added exactly one new tree
+  /// node (its `to` — the backtrace only traverses fresh nodes), so the
+  /// edge sequence *is* the new-node sequence, in the same order an
+  /// inc-during-search router would have claimed them.
+  void commit(const RouteTree& t) {
+    for (const auto& [from, to] : t.edges) {
+      (void)from;
+      inc_occ(to);
     }
     inc_occ(t.source);
   }
-  /// commit() for partition workers (deferred shared-state updates); the
-  /// inc order per node sequence is identical.
-  void commit_deferred(const RouteTree& t, std::size_t seed_edges,
-                       OveruseTracker::DeferredOps& ops) {
-    for (std::size_t i = seed_edges; i < t.edges.size(); ++i) {
-      inc_occ_deferred(t.edges[i].second, ops);
-    }
-    inc_occ_deferred(t.source, ops);
-  }
-
   /// Batch conflict marks: a committed member's claimed nodes, checked by
   /// later members of the same batch. The scheduling rectangles keep
   /// members' *bounding boxes* apart but not their full routing windows,
@@ -768,17 +673,19 @@ struct Router {
   /// serially (deterministic: the frozen batch state and the commit order
   /// decide, never the thread count). debug_replay_every exercises the
   /// same path on demand.
-  bool conflicts(const RouteTree& t, std::size_t seed_edges) const {
+  bool conflicts(const RouteTree& t) const {
     if (bmark[t.source] == bmark_cur) return true;
-    for (std::size_t i = seed_edges; i < t.edges.size(); ++i) {
-      if (bmark[t.edges[i].second] == bmark_cur) return true;
+    for (const auto& [from, to] : t.edges) {
+      (void)from;
+      if (bmark[to] == bmark_cur) return true;
     }
     return false;
   }
-  void mark_committed(const RouteTree& t, std::size_t seed_edges) {
+  void mark_committed(const RouteTree& t) {
     bmark[t.source] = bmark_cur;
-    for (std::size_t i = seed_edges; i < t.edges.size(); ++i) {
-      bmark[t.edges[i].second] = bmark_cur;
+    for (const auto& [from, to] : t.edges) {
+      (void)from;
+      bmark[to] = bmark_cur;
     }
   }
 
@@ -815,67 +722,6 @@ struct Router {
     }
   }
 
-  /// rip_up() for partition workers: identical node sequence, but the
-  /// shared-state side of each dec is deferred into `ops` and the
-  /// duplicate-edge dedup uses the worker's own scratch marks (smark
-  /// belongs to the serial orchestration path).
-  void rip_up_deferred(Scratch& sc, const RouteTree& t,
-                       OveruseTracker::DeferredOps& ops) {
-    if (t.source == kNoRrNode) return;
-    dec_occ_deferred(t.source, ops);
-    ++sc.mark_cur;
-    for (const auto& [from, to] : t.edges) {
-      (void)from;
-      if (sc.mark[to] != sc.mark_cur) {
-        sc.mark[to] = sc.mark_cur;
-        dec_occ_deferred(to, ops);
-      }
-    }
-  }
-
-  /// Partial rip-up: keep the maximal source-connected subtree that is
-  /// free of overused nodes *and* still feeds at least one sink (stub
-  /// branches whose sinks were congested away release their occupancy
-  /// too, or they would hoard capacity forever). Kept nodes retain
-  /// occupancy; `t` becomes the seed tree route_net rebuilds from. The
-  /// source's own occupancy is released because commit() re-takes it.
-  void prune_tree(const PlacedNet& net, RouteTree& t) {
-    if (t.source == kNoRrNode) return;
-    // Pass 1 (forward, parent-before-child): clean, source-connected.
-    kept.clear();
-    ++smark_cur;
-    const std::uint32_t keep_m = smark_cur;
-    if (!occ.overused(t.source)) smark[t.source] = keep_m;
-    for (const auto& e : t.edges) {
-      if (smark[e.first] == keep_m && !occ.overused(e.second)) {
-        smark[e.second] = keep_m;
-        kept.push_back(e);
-      } else {
-        dec_occ(e.second);
-      }
-    }
-    // Pass 2 (reverse): drop branches that reach none of the net's sinks.
-    ++smark_cur;
-    const std::uint32_t useful_m = smark_cur;
-    for (std::size_t s : net.sinks) {
-      const BlockLoc& l = pl.locs[s];
-      const RrNodeId sk = g.site(l.x, l.y).sink;
-      if (smark[sk] == keep_m) smark[sk] = useful_m;
-    }
-    ppath.clear();  // reversed survivors
-    for (auto it = kept.rbegin(); it != kept.rend(); ++it) {
-      if (smark[it->second] == useful_m) {
-        smark[it->first] = useful_m;
-        ppath.push_back(*it);
-      } else {
-        dec_occ(it->second);
-      }
-    }
-    dec_occ(t.source);
-    t.edges.assign(ppath.rbegin(), ppath.rend());
-    t.sinks.clear();
-  }
-
   void update_history() {
     occ.for_each_overused([this](RrNodeId i, int over) {
       history[i] += static_cast<float>(opt.history_fac * over);
@@ -892,6 +738,7 @@ struct Router {
 RoutingResult route_session(const RrGraphView& g, const Placement& pl,
                             const RouteOptions& opt,
                             std::vector<RouteTree> seed_trees, bool seeded) {
+  require_valid_astar_factor(opt.astar_factor);
   Router router(g, pl, opt);
   using NetStatus = Router::NetStatus;
   RoutingResult res;
@@ -953,38 +800,12 @@ RoutingResult route_session(const RrGraphView& g, const Placement& pl,
   struct Member {
     RouteTree tree;
     NetStatus st = NetStatus::kFail;
-    std::size_t seed_edges = 0;
   };
   std::vector<std::vector<std::size_t>> batches;
   std::vector<std::size_t> live;
   std::vector<Member> members;
 
-  // Partition-parallel state. The region grid is fixed for the whole run
-  // (fabric geometry only); net classification is per iteration because
-  // the routing windows widen (extra_bb) and nets can go unbounded.
-  const bool part_mode = opt.net_parallel && opt.partition_parallel;
-  std::size_t preg = 0, pgx = 0, pgy = 0;
-  std::vector<std::vector<std::size_t>> part_nets;
-  std::vector<std::size_t> serial_nets;
-  struct PartResult {
-    OveruseTracker::DeferredOps ops;
-    std::vector<std::size_t> routed;    ///< Committed in-region, net order.
-    std::vector<std::size_t> deferred;  ///< Window escapes -> serial phase.
-  };
-  std::vector<PartResult> presults;
-  if (part_mode) {
-    const std::size_t gx = g.nx() + 2, gy = g.ny() + 2;
-    preg = opt.partition_size != 0
-               ? opt.partition_size
-               : std::max<std::size_t>(4, (std::max(gx, gy) + 3) / 4);
-    preg = std::max<std::size_t>(preg, 1);
-    pgx = (gx + preg - 1) / preg;
-    pgy = (gy + preg - 1) / preg;
-    part_nets.resize(pgx * pgy);
-    presults.resize(pgx * pgy);
-  }
-
-  if (opt.net_parallel && !part_mode) {
+  if (opt.net_parallel) {
     // Partition every net — in net order — into batches whose scheduling
     // rectangles (net bounding box + kSchedMargin) are pairwise disjoint
     // within a batch, by first-fit coloring: a per-cell bitmask records
@@ -1076,21 +897,15 @@ RoutingResult route_session(const RrGraphView& g, const Placement& pl,
       // occupancy sequence inc-during-search did, via the overlay).
       for (std::size_t n = 0; n < pl.nets.size(); ++n) {
         if (iter > 1 || seeded) {
-          if (opt.incremental) {
-            // Congestion fully cleared mid-iteration: every remaining net
-            // would fail touches_overuse anyway. Not taken on the seeded
-            // first iteration — empty (invalidated) trees carry no
-            // overuse but still need their first route.
-            if (iter > 1 && router.occ.overused_count() == 0) break;
-            if (!touches_overuse(res.trees[n])) continue;
-          }
+          // Congestion fully cleared mid-iteration: every remaining net
+          // would fail touches_overuse anyway. Not taken on the seeded
+          // first iteration — empty (invalidated) trees carry no overuse
+          // but still need their first route.
+          if (iter > 1 && router.occ.overused_count() == 0) break;
+          if (!touches_overuse(res.trees[n])) continue;
           ++router.cnt.nets_rerouted;
-          if (opt.prune_ripup) {
-            router.prune_tree(pl.nets[n], res.trees[n]);
-          } else {
-            router.rip_up(res.trees[n]);
-            res.trees[n] = RouteTree{};
-          }
+          router.rip_up(res.trees[n]);
+          res.trees[n] = RouteTree{};
           if (iter > 12) {
             extra_bb[n] =
                 std::min<std::size_t>(extra_bb[n] + 2, g.nx() + g.ny());
@@ -1102,151 +917,7 @@ RoutingResult route_session(const RrGraphView& g, const Placement& pl,
           // Hard disconnection — no amount of iteration will fix it.
           return fail_out(t0);
         }
-        router.commit(res.trees[n], main_sc.seed_edges);
-        res.routed_nets[n] = 1;
-        if (timing_on) dirty.push_back(n);
-      }
-    } else if (part_mode) {
-      // Region-partitioned mode. Three phases, all deterministic:
-      //
-      // 1. Classify (serial, net order): each net needing a reroute is
-      //    assigned to the unique region that contains its dilated
-      //    routing window — bounding box, plus the full window margin it
-      //    will route with this iteration, plus the maximum wire reach
-      //    (L-1) so every RR node a search could *touch* lies inside the
-      //    region. Nets whose dilated window straddles regions, and nets
-      //    that ever needed an unbounded retry, go to the serial list
-      //    instead. Full rip-up deliberately does NOT happen here:
-      //    ripping every net before any of them reroutes erases the
-      //    congestion signal PathFinder negotiates over (each net would
-      //    route against near-empty occupancy and pile back onto the
-      //    same tracks, oscillating instead of converging), so rips
-      //    happen lazily, right before each net's own reroute. The
-      //    prune_ripup variant is the exception — it only releases
-      //    congested branches, keeping the signal — and stays here where
-      //    the shared scratch marks are safe to use.
-      //
-      // 2. Parallel phase: each region rips and routes its nets serially
-      //    in net order against the live occupancy, through the deferred
-      //    tracker API. Because a region only ever touches its own node
-      //    ids (the dilation argument: every node a search can touch —
-      //    and every node of the net's previous tree, routed under a
-      //    never-wider-than-current window — lies inside the dilated
-      //    window), regions are state-disjoint and the parallel phase is
-      //    bit-identical to routing the regions one after another — at
-      //    any thread count. A window-escape failure is deferred to the
-      //    serial phase with the net already ripped — exactly the state
-      //    a serial reroute starts from (prune seeds stay intact).
-      //
-      // 3. Join + serial phase: deferred tracker state is absorbed in
-      //    region index order; boundary and deferred nets then rip and
-      //    route serially — interleaved per net, so later serial nets
-      //    still exert congestion pressure — in ascending net order with
-      //    full (unbounded-retry) semantics.
-      for (auto& v : part_nets) v.clear();
-      serial_nets.clear();
-      const std::size_t gx = g.nx() + 2, gy = g.ny() + 2;
-      const int reach = static_cast<int>(g.arch().L) - 1;
-      for (std::size_t n = 0; n < pl.nets.size(); ++n) {
-        if (iter > 1 || seeded) {
-          if (opt.incremental && !touches_overuse(res.trees[n])) continue;
-          ++router.cnt.nets_rerouted;
-          if (opt.prune_ripup) {
-            router.prune_tree(pl.nets[n], res.trees[n]);
-          }
-          if (iter > 12) {
-            extra_bb[n] =
-                std::min<std::size_t>(extra_bb[n] + 2, g.nx() + g.ny());
-          }
-        }
-        const PlacedNet& net = pl.nets[n];
-        const BlockLoc& dloc = pl.locs[net.driver];
-        int bx_lo = static_cast<int>(dloc.x), bx_hi = bx_lo;
-        int by_lo = static_cast<int>(dloc.y), by_hi = by_lo;
-        for (std::size_t s : net.sinks) {
-          const BlockLoc& l = pl.locs[s];
-          bx_lo = std::min(bx_lo, static_cast<int>(l.x));
-          bx_hi = std::max(bx_hi, static_cast<int>(l.x));
-          by_lo = std::min(by_lo, static_cast<int>(l.y));
-          by_hi = std::max(by_hi, static_cast<int>(l.y));
-        }
-        const int m =
-            static_cast<int>(opt.bb_margin + extra_bb[n]) + reach;
-        bx_lo = std::max(bx_lo - m, 0);
-        by_lo = std::max(by_lo - m, 0);
-        bx_hi = std::min(bx_hi + m, static_cast<int>(gx) - 1);
-        by_hi = std::min(by_hi + m, static_cast<int>(gy) - 1);
-        const std::size_t px = static_cast<std::size_t>(bx_lo) / preg;
-        const std::size_t py = static_cast<std::size_t>(by_lo) / preg;
-        const bool interior =
-            !router.routed_unbounded[n] &&
-            static_cast<std::size_t>(bx_hi) / preg == px &&
-            static_cast<std::size_t>(by_hi) / preg == py;
-        if (interior) {
-          part_nets[py * pgx + px].push_back(n);
-        } else {
-          serial_nets.push_back(n);
-        }
-      }
-
-      std::size_t nonempty = 0;
-      for (const auto& v : part_nets) nonempty += v.empty() ? 0 : 1;
-      if (nonempty != 0) {
-        router.cnt.batches += nonempty;
-        parallel_for(part_nets.size(), [&](std::size_t p) {
-          const auto& nets = part_nets[p];
-          if (nets.empty()) return;
-          PartResult& pr = presults[p];
-          Router::Scratch* sc = router.acquire_scratch();
-          for (const std::size_t n : nets) {
-            if ((iter > 1 || seeded) && !opt.prune_ripup) {
-              router.rip_up_deferred(*sc, res.trees[n], pr.ops);
-              res.trees[n] = RouteTree{};
-            }
-            const NetStatus st =
-                router.route_net(*sc, n, pl.nets[n], res.trees[n],
-                                 extra_bb[n], /*speculative=*/true);
-            if (st == NetStatus::kOk) {
-              router.commit_deferred(res.trees[n], sc->seed_edges, pr.ops);
-              pr.routed.push_back(n);
-            } else {
-              // Deferred to the serial phase. The rollback left the seed
-              // tree (holding occupancy only under prune_ripup); clear
-              // the fully-ripped case so the serial rip below is a no-op.
-              if (!opt.prune_ripup) res.trees[n] = RouteTree{};
-              pr.deferred.push_back(n);
-            }
-          }
-          router.release_scratch(sc);
-        });
-        for (std::size_t p = 0; p < part_nets.size(); ++p) {
-          PartResult& pr = presults[p];
-          router.occ.absorb(pr.ops);
-          for (const std::size_t n : pr.routed) res.routed_nets[n] = 1;
-          if (timing_on) {
-            dirty.insert(dirty.end(), pr.routed.begin(), pr.routed.end());
-          }
-          pr.routed.clear();
-          for (const std::size_t n : pr.deferred) {
-            ++router.cnt.conflict_replays;
-            serial_nets.push_back(n);
-          }
-          pr.deferred.clear();
-        }
-        std::sort(serial_nets.begin(), serial_nets.end());
-      }
-
-      for (const std::size_t n : serial_nets) {
-        if ((iter > 1 || seeded) && !opt.prune_ripup) {
-          router.rip_up(res.trees[n]);
-          res.trees[n] = RouteTree{};
-        }
-        if (router.route_net(main_sc, n, pl.nets[n], res.trees[n],
-                             extra_bb[n],
-                             /*speculative=*/false) != NetStatus::kOk) {
-          return fail_out(t0);
-        }
-        router.commit(res.trees[n], main_sc.seed_edges);
+        router.commit(res.trees[n]);
         res.routed_nets[n] = 1;
         if (timing_on) dirty.push_back(n);
       }
@@ -1262,23 +933,16 @@ RoutingResult route_session(const RrGraphView& g, const Placement& pl,
       // order. Everything — schedule, frozen state, commit order, replay
       // decisions — is independent of the thread count.
       for (const auto& batch : batches) {
-        if (iter > 1 && opt.incremental &&
-            router.occ.overused_count() == 0) {
-          break;
-        }
+        if (iter > 1 && router.occ.overused_count() == 0) break;
         // Rip stage (serial, net order): membership is decided against
         // the live occupancy — exactly the serial loop's per-net check.
         live.clear();
         for (std::size_t n : batch) {
           if (iter > 1 || seeded) {
-            if (opt.incremental && !touches_overuse(res.trees[n])) continue;
+            if (!touches_overuse(res.trees[n])) continue;
             ++router.cnt.nets_rerouted;
-            if (opt.prune_ripup) {
-              router.prune_tree(pl.nets[n], res.trees[n]);
-            } else {
-              router.rip_up(res.trees[n]);
-              res.trees[n] = RouteTree{};
-            }
+            router.rip_up(res.trees[n]);
+            res.trees[n] = RouteTree{};
             if (iter > 12) {
               extra_bb[n] =
                   std::min<std::size_t>(extra_bb[n] + 2, g.nx() + g.ny());
@@ -1298,7 +962,7 @@ RoutingResult route_session(const RrGraphView& g, const Placement& pl,
               NetStatus::kOk) {
             return fail_out(t0);
           }
-          router.commit(res.trees[n], main_sc.seed_edges);
+          router.commit(res.trees[n]);
           res.routed_nets[n] = 1;
           if (timing_on) dirty.push_back(n);
           continue;
@@ -1312,10 +976,8 @@ RoutingResult route_session(const RrGraphView& g, const Placement& pl,
         parallel_for(live.size(), [&](std::size_t i) {
           Router::Scratch* sc = router.acquire_scratch();
           Member& m = members[i];
-          m.tree = res.trees[live[i]];
           m.st = router.route_net(*sc, live[i], pl.nets[live[i]], m.tree,
                                   extra_bb[live[i]], /*speculative=*/true);
-          m.seed_edges = sc->seed_edges;
           router.release_scratch(sc);
         });
 
@@ -1333,12 +995,10 @@ RoutingResult route_session(const RrGraphView& g, const Placement& pl,
               (i + 1) % opt.debug_replay_every == 0) {
             replay = true;
           }
-          if (!replay && router.conflicts(m.tree, m.seed_edges)) {
-            replay = true;
-          }
+          if (!replay && router.conflicts(m.tree)) replay = true;
           if (!replay) {
-            router.mark_committed(m.tree, m.seed_edges);
-            router.commit(m.tree, m.seed_edges);
+            router.mark_committed(m.tree);
+            router.commit(m.tree);
             res.trees[n] = std::move(m.tree);
           } else {
             ++router.cnt.conflict_replays;
@@ -1347,8 +1007,8 @@ RoutingResult route_session(const RrGraphView& g, const Placement& pl,
                 NetStatus::kOk) {
               return fail_out(t0);
             }
-            router.mark_committed(res.trees[n], main_sc.seed_edges);
-            router.commit(res.trees[n], main_sc.seed_edges);
+            router.mark_committed(res.trees[n]);
+            router.commit(res.trees[n]);
           }
           res.routed_nets[n] = 1;
           if (timing_on) dirty.push_back(n);
@@ -1478,11 +1138,7 @@ RoutingResult route_incremental(const RrGraphView& g, const Placement& pl,
     throw std::invalid_argument(
         "route_incremental: base tree / placed net count mismatch");
   }
-  RouteOptions ropt = opt;
-  // Seeded routing is incremental by definition: the whole point is to
-  // keep clean live trees in place.
-  ropt.incremental = true;
-  return route_session(g, pl, ropt, std::move(base_trees), /*seeded=*/true);
+  return route_session(g, pl, opt, std::move(base_trees), /*seeded=*/true);
 }
 
 void check_routing(const RrGraphView& g, const Placement& pl,
@@ -1536,6 +1192,7 @@ ChannelWidthResult find_min_channel_width(const ArchParams& arch,
   // on the thread count, so the returned Wmin is identical at any
   // NF_THREADS setting — parallelism only accelerates the probes.
   constexpr std::size_t kFanout = 4;
+  require_valid_astar_factor(opt.astar_factor);
   const std::size_t w_cap = std::max<std::size_t>(4, opt.max_channel_width);
 
   // The lookahead table is W-independent (it is built over a thin
@@ -1562,7 +1219,7 @@ ChannelWidthResult find_min_channel_width(const ArchParams& arch,
   // congestion-only runs to land on identical Wmin by construction.
   probe_opt.timing_driven = false;
   probe_opt.timing_hook = nullptr;
-  if (probe_opt.astar_factor > 0.0 && !probe_opt.lookahead) {
+  if (!probe_opt.lookahead) {
     // The table builder only reads arch/nx/ny off the graph, so seed it
     // with the implicit backend — same table, none of the CSR footprint.
     ArchParams a = arch;

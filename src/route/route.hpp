@@ -79,8 +79,6 @@ struct RouteOptions {
   /// their first search. Capped by pres_fac_max.
   double seeded_pres_fac = 8.0;
   double history_fac = 1.0;
-  double astar_fac = 1.1;     ///< Legacy Manhattan-heuristic weight (used
-                              ///< only when astar_factor == 0).
   /// Weight on the precomputed geometric lookahead table (A* directed
   /// search, src/arch/lookahead.hpp). 1.0 keeps the heuristic admissible
   /// (every sink still found at Dijkstra-optimal cost — provable via
@@ -88,16 +86,14 @@ struct RouteOptions {
   /// without re-expansion, the usual VPR trade). The default 2.0 expands
   /// 3.7x fewer nodes than an undirected Dijkstra over the identical
   /// searches on pdc (route_perf --verify-la) with no loss in minimum
-  /// channel width (EXPERIMENTS.md, "Router performance"). 0 disables
-  /// the table entirely and restores the legacy Manhattan heuristic,
-  /// which together with net_parallel=false reproduces the pre-lookahead
-  /// router bit-for-bit (pinned by legacy golden fixtures).
+  /// channel width (EXPERIMENTS.md, "Router performance"). Must be finite
+  /// and > 0: route_all and find_min_channel_width throw
+  /// std::invalid_argument otherwise.
   double astar_factor = 2.0;
   /// Prebuilt lookahead table to use instead of building one inside
   /// route_all (the table depends on the fabric and cost profile, not on
   /// W, so find_min_channel_width builds it once and shares it across
-  /// every width probe). Null means build on demand when
-  /// astar_factor > 0; ignored when astar_factor == 0.
+  /// every width probe). Null means build on demand.
   std::shared_ptr<const RouteLookahead> lookahead;
   /// Accounting metadata for a prebuilt `lookahead` (ignored otherwise):
   /// the wall seconds the caller spent building it specifically for this
@@ -120,15 +116,6 @@ struct RouteOptions {
   /// thread count, so trees, iteration counts and checksums stay
   /// bit-identical at any NF_THREADS setting.
   bool net_parallel = true;
-  /// Reroute only congestion-touching nets (fast) vs all nets (classic).
-  bool incremental = true;
-  /// Rip up only the congested branches of a rerouted net and rebuild the
-  /// search from the surviving partial tree, instead of discarding the
-  /// whole tree. Changes the routing result (the seed tree biases the
-  /// search), so it is off by default — the default configuration is
-  /// bit-compatible with the classic full rip-up router and pinned by
-  /// golden tests.
-  bool prune_ripup = false;
   /// Test hook: every k-th member of every parallel batch is treated as
   /// conflicted and re-routed through the serial replay path, exercising
   /// the conflict-resolution machinery on demand. 0 = off.
@@ -164,25 +151,6 @@ struct RouteOptions {
   /// and both backends are node/edge-order identical by construction, so
   /// the choice never changes the routing, only memory and per-edge cost.
   RrBackend rr_backend = kDefaultRrBackend;
-  /// Geometric region-partitioned scheduling (requires net_parallel):
-  /// each iteration splits the grid into partition_size-square tile
-  /// regions; nets whose conservative routing windows (dilated by the
-  /// maximum wire reach) fall inside one region route concurrently per
-  /// region — each partition runs its nets serially in net order against
-  /// live occupancy, touching only region-interior RR nodes, so the
-  /// parallel phase is state-identical to routing the partitions one
-  /// after another. Boundary nets, window-escapers and nets that ever
-  /// needed an unbounded retry route serially afterwards in ascending net
-  /// order. The partition, the classification and both phase orders
-  /// depend only on (graph, placement, options, iteration) — never on
-  /// the thread count — so results stay bit-identical at any NF_THREADS.
-  /// Off by default: it changes the (still deterministic) routing
-  /// relative to the batched scheduler, which the golden fixtures pin.
-  bool partition_parallel = false;
-  /// Region edge length in tiles for partition_parallel. 0 picks a
-  /// fabric-dependent default (about a 4x4 region grid). Values are
-  /// clamped so a region is never smaller than one tile.
-  std::size_t partition_size = 0;
   /// Upper bound on the channel-width grow phase: find_min_channel_width
   /// reports infeasible (ChannelWidthResult::feasible == false) instead
   /// of probing beyond this.
@@ -207,8 +175,7 @@ struct RouteCounters {
   /// this counter (alone) varies with the thread count in net_parallel
   /// mode; it is excluded from the bit-determinism contract.
   std::uint64_t scratch_grows = 0;
-  /// Heuristic evaluations served from the geometric lookahead table
-  /// (0 when astar_factor == 0).
+  /// Heuristic evaluations served from the geometric lookahead table.
   std::uint64_t lookahead_hits = 0;
   /// Parallel batch dispatches (0 when net_parallel == false).
   std::uint64_t batches = 0;
@@ -275,6 +242,8 @@ struct RoutingResult {
 /// Route all placed nets over either RR backend (pass an RrGraph or an
 /// ImplicitRrGraph; both convert to the view). Returns success=false if
 /// congestion persists after max_iterations (caller widens W and retries).
+/// Throws std::invalid_argument when opt.astar_factor is not a finite
+/// positive number.
 RoutingResult route_all(const RrGraphView& g, const Placement& pl,
                         const RouteOptions& opt = {});
 
@@ -284,12 +253,12 @@ RoutingResult route_all(const RrGraphView& g, const Placement& pl,
 /// up front, the first iteration routes only the cleared nets against
 /// that live state, and later iterations run the normal incremental
 /// negotiation, so kept trees are re-routed only if congestion reaches
-/// them (opt.incremental is forced on). Counters and history restart
-/// fresh — a seeded call is a new negotiation session over old wires,
-/// not a continuation of the one that built them — but the session
-/// starts at opt.seeded_pres_fac rather than first_iter_pres_fac, so
-/// the cleared nets route around the live occupancy instead of through
-/// it. Throws if base_trees.size() != pl.nets.size().
+/// them. Counters and history restart fresh — a seeded call is a new
+/// negotiation session over old wires, not a continuation of the one that
+/// built them — but the session starts at opt.seeded_pres_fac rather than
+/// first_iter_pres_fac, so the cleared nets route around the live
+/// occupancy instead of through it. Throws if base_trees.size() !=
+/// pl.nets.size().
 RoutingResult route_incremental(const RrGraphView& g, const Placement& pl,
                                 std::vector<RouteTree> base_trees,
                                 const RouteOptions& opt = {});

@@ -140,7 +140,7 @@ FlowArtifacts make_flow_artifacts(ArtifactCache* cache,
     }
   }
 
-  if (ropt.astar_factor > 0.0 && !ropt.lookahead) {
+  if (!ropt.lookahead) {
     const DelayProfile* prof =
         a.delay_model ? &a.delay_model->profile : nullptr;
     const auto build = [&] {

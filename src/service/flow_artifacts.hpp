@@ -87,8 +87,8 @@ struct FlowArtifacts {
 /// Build (cache == nullptr) or fetch-or-build (cache != nullptr) the
 /// artifacts `route_all` and the timing hook need for a flow over
 /// (arch, nx, ny): the backend-selected RR graph, the lookahead table
-/// when ropt.astar_factor > 0 and ropt.lookahead is unset, and the
-/// delay model when ropt.timing_driven. The artifacts are bit-identical
+/// when ropt.lookahead is unset, and the delay model when
+/// ropt.timing_driven. The artifacts are bit-identical
 /// either way — the cache only changes who pays the build.
 FlowArtifacts make_flow_artifacts(ArtifactCache* cache,
                                   const ArchParams& arch, std::size_t nx,

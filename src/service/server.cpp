@@ -4,6 +4,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <deque>
@@ -93,9 +95,29 @@ bool send_line(int fd, const std::string& line) {
   return true;
 }
 
+/// JSON numbers arrive as doubles (json_io's strtod accepts nan and inf),
+/// so a count field is cast only once it is a finite integer in
+/// [lo, hi]; anything else is rejected with an error naming the field.
+std::uint64_t json_count(const JsonObject& o, const char* key, double def,
+                         double lo, double hi) {
+  const double v = o.get_number(key, def);
+  if (!std::isfinite(v) || v != std::floor(v) || v < lo || v > hi) {
+    char buf[128];
+    std::snprintf(buf, sizeof buf, "%s must be an integer in [%.0f, %.0f]",
+                  key, lo, hi);
+    throw std::runtime_error(buf);
+  }
+  return static_cast<std::uint64_t>(v);
+}
+
 }  // namespace
 
 FlowJob job_from_json(const JsonObject& o, const ServeOptions& defaults) {
+  // Netlist sizes far beyond the largest MCNC circuit (clma, 8383 LUTs);
+  // widths up to the Wmin search's own cap; seeds up to 2^53, the largest
+  // range a JSON double holds exactly.
+  constexpr double kMaxCount = 1e6;
+  constexpr double kMaxSeed = 9007199254740992.0;
   FlowJob job;
   job.opt.arch = defaults.arch;
   const std::string bench = o.get_string("benchmark");
@@ -104,17 +126,14 @@ FlowJob job_from_json(const JsonObject& o, const ServeOptions& defaults) {
     job.netlist = generate_benchmark(bench);
   } else if (o.has("synth_luts")) {
     SynthSpec spec;
-    spec.n_luts = static_cast<std::size_t>(o.get_number("synth_luts"));
-    if (spec.n_luts == 0) {
-      throw std::runtime_error("synth_luts must be positive");
-    }
-    spec.n_inputs =
-        static_cast<std::size_t>(o.get_number("inputs", 32.0));
-    spec.n_outputs =
-        static_cast<std::size_t>(o.get_number("outputs", 32.0));
-    spec.n_latches =
-        static_cast<std::size_t>(o.get_number("latches", 0.0));
+    spec.n_luts = json_count(o, "synth_luts", 0.0, 1.0, kMaxCount);
+    spec.n_inputs = json_count(o, "inputs", 32.0, 0.0, kMaxCount);
+    spec.n_outputs = json_count(o, "outputs", 32.0, 0.0, kMaxCount);
+    spec.n_latches = json_count(o, "latches", 0.0, 0.0, kMaxCount);
     spec.locality = o.get_number("locality", 1.0);
+    if (!std::isfinite(spec.locality)) {
+      throw std::runtime_error("locality must be finite");
+    }
     spec.name = "synth-" + std::to_string(spec.n_luts);
     job.name = spec.name;
     job.netlist = generate_netlist(spec);
@@ -123,13 +142,12 @@ FlowJob job_from_json(const JsonObject& o, const ServeOptions& defaults) {
         "flow request needs \"benchmark\" or \"synth_luts\"");
   }
   if (o.has("w")) {
-    const double w = o.get_number("w");
-    if (w < 2.0) throw std::runtime_error("w must be >= 2");
-    job.opt.arch.W = static_cast<std::size_t>(w);
+    job.opt.arch.W = json_count(
+        o, "w", 0.0, 2.0,
+        static_cast<double>(RouteOptions{}.max_channel_width));
   }
   if (o.has("seed")) {
-    job.opt.place.seed =
-        static_cast<std::uint64_t>(o.get_number("seed", 1.0));
+    job.opt.place.seed = json_count(o, "seed", 1.0, 0.0, kMaxSeed);
   }
   job.opt.route.timing_driven = o.get_bool("timing", false);
   job.opt.timing_backend =

@@ -46,7 +46,10 @@ struct ServeOptions {
 };
 
 /// Build a FlowJob from a parsed "op":"flow" request (exposed for the
-/// CLI and tests). Throws std::runtime_error on an invalid spec.
+/// CLI and tests). Throws std::runtime_error, naming the field, on an
+/// invalid spec: synth_luts outside [1, 1e6]; inputs, outputs or latches
+/// outside [0, 1e6]; w outside [2, RouteOptions::max_channel_width]; seed
+/// outside [0, 2^53]; any of these not an integer; a non-finite locality.
 FlowJob job_from_json(const JsonObject& o, const ServeOptions& defaults);
 
 class ServeServer {

@@ -1,6 +1,8 @@
 #include "util/thread_pool.hpp"
 
 #include <atomic>
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <stdexcept>
@@ -18,18 +20,35 @@ thread_local bool t_in_parallel_region = false;
 thread_local ThreadPool* t_current_pool = nullptr;
 
 std::size_t default_thread_count() {
-  if (const char* env = std::getenv("NF_THREADS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v >= 1) {
-      return static_cast<std::size_t>(v);
+  bool clamped = false;
+  if (const auto n = threads_from_env(std::getenv("NF_THREADS"), &clamped)) {
+    if (clamped) {
+      std::fprintf(stderr,
+                   "warning: NF_THREADS=%s exceeds the cap; using %zu "
+                   "threads\n",
+                   std::getenv("NF_THREADS"), kMaxThreads);
     }
+    return *n;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw ? hw : 1;
 }
 
 }  // namespace
+
+std::optional<std::size_t> threads_from_env(const char* env, bool* clamped) {
+  *clamped = false;
+  if (env == nullptr) return std::nullopt;
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(env, &end, 10);
+  if (end == env || *end != '\0' || v < 1) return std::nullopt;
+  if (errno == ERANGE || static_cast<unsigned long long>(v) > kMaxThreads) {
+    *clamped = true;
+    return kMaxThreads;
+  }
+  return static_cast<std::size_t>(v);
+}
 
 /// One fork-join loop. Workers and the caller claim index chunks from
 /// `next`; `pending` counts participants that have not yet finished their

@@ -22,6 +22,18 @@
 
 namespace nemfpga {
 
+/// Upper bound on a requested worker-thread count: NF_THREADS is clamped
+/// to it (with one warning on stderr) and `nemfpga serve --threads` above
+/// it is a usage error. Far above any core count the flow can use, and
+/// low enough that a typo cannot exhaust the process's thread budget.
+inline constexpr std::size_t kMaxThreads = 256;
+
+/// Decode an NF_THREADS value: a decimal integer >= 1, clamped to
+/// kMaxThreads (*clamped reports whether it was). Null, malformed or
+/// < 1 values yield nullopt — the caller falls back to the hardware
+/// concurrency.
+std::optional<std::size_t> threads_from_env(const char* env, bool* clamped);
+
 /// Fixed-size worker pool with a blocking fork-join parallel_for. The
 /// calling thread always participates in the loop, so a 1-thread pool is
 /// an inline serial loop with zero synchronisation.
@@ -48,7 +60,8 @@ class ThreadPool {
                     const std::function<void(std::size_t)>& body);
 
   /// Process-wide pool used by the free parallel_for/parallel_map:
-  /// NF_THREADS if set (>= 1), otherwise std::thread::hardware_concurrency.
+  /// NF_THREADS if set (>= 1, clamped to kMaxThreads), otherwise
+  /// std::thread::hardware_concurrency.
   /// Constructed once on first use; NF_THREADS is read at that point.
   static ThreadPool& global();
 

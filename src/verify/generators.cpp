@@ -23,17 +23,13 @@ std::string DesignCase::describe() const {
     os << " sbrot=" << arch.sb_custom_rot;
   }
   os << "} route{iters=" << route.max_iterations
-     << " astar=" << route.astar_fac << " la=" << route.astar_factor
-     << " par=" << route.net_parallel
+     << " la=" << route.astar_factor << " par=" << route.net_parallel
      << " impl=" << (route.rr_backend == RrBackend::kImplicit)
-     << " part=" << route.partition_parallel
-     << " psz=" << route.partition_size << " bb=" << route.bb_margin
-     << " incr=" << route.incremental << " prune=" << route.prune_ripup
-     << " td=" << route.timing_driven << " cexp=" << route.criticality_exp
+     << " bb=" << route.bb_margin << " td=" << route.timing_driven
+     << " cexp=" << route.criticality_exp
      << " mcrit=" << route.max_criticality
      << "} place{seed=" << place_seed << " inner=" << place_inner_num
-     << " batch=" << place_batch << " dir=" << place_directed
-     << " td=" << place_timing << "}";
+     << " dir=" << place_directed << " td=" << place_timing << "}";
   return os.str();
 }
 
@@ -71,11 +67,8 @@ DesignCase gen_design_case(Rng& rng) {
   }
 
   c.route.max_iterations = 40;
-  c.route.astar_fac = 1.0 + 0.1 * rng.uniform_int(4);  // 1.0..1.3
-  // Lookahead weight: off (legacy Manhattan) a third of the time, else
-  // admissible-to-mildly-weighted — the range run_fuzz.sh sweeps too.
-  c.route.astar_factor =
-      rng.chance(0.33) ? 0.0 : 0.9 + 0.1 * rng.uniform_int(4);  // 0.9..1.2
+  // Lookahead weight: admissible-to-mildly-weighted (0.9..1.2).
+  c.route.astar_factor = 0.9 + 0.1 * rng.uniform_int(4);
   c.route.net_parallel = rng.chance(0.5);
   // Backend choice is correctness-neutral by construction (node ids and
   // edge order are identical), so the differential props drive it often.
@@ -87,14 +80,7 @@ DesignCase gen_design_case(Rng& rng) {
   c.route.rr_backend = force_impl || rng.chance(0.5)
                            ? RrBackend::kImplicit
                            : RrBackend::kExplicit;
-  // Region-partitioned scheduler (only consulted when net_parallel):
-  // exercised with both the geometry-derived default region size and
-  // deliberately tiny explicit ones (many boundary nets).
-  c.route.partition_parallel = rng.chance(0.4);
-  c.route.partition_size = rng.chance(0.5) ? 0 : 3 + rng.uniform_int(6);
   c.route.bb_margin = 1 + rng.uniform_int(4);
-  c.route.incremental = rng.chance(0.8);
-  c.route.prune_ripup = rng.chance(0.25);
   // Timing-driven blend: off most of the time (the congestion-only
   // contract keeps its coverage), else random criticality shaping. The
   // property harness constructs the hooks (one per router — they are
@@ -105,11 +91,8 @@ DesignCase gen_design_case(Rng& rng) {
 
   c.place_seed = 1 + rng.uniform_int(1 << 20);
   c.place_inner_num = 0.1;
-  // Placer disciplines: half the cases keep the seed-identical serial
-  // annealer; the rest run speculative batches (deterministic at any
-  // thread count) and sometimes the directed generators / the
+  // Placer knobs: sometimes the directed generators and / or the
   // criticality-weighted second anneal.
-  c.place_batch = rng.chance(0.5) ? 0 : 2 + rng.uniform_int(31);  // 2..32
   c.place_directed = rng.chance(0.35);
   c.place_timing = rng.chance(0.3);
   return c;
@@ -144,12 +127,6 @@ std::vector<DesignCase> shrink_design_case(const DesignCase& c) {
   if (c.arch.W > 6) {
     push([&](DesignCase& s) { s.arch.W = c.arch.W - 2; });
   }
-  if (c.route.prune_ripup) {
-    push([&](DesignCase& s) { s.route.prune_ripup = false; });
-  }
-  if (!c.route.incremental) {
-    push([&](DesignCase& s) { s.route.incremental = true; });
-  }
   // Shrink toward the congestion-only router first: a reproducer that
   // survives timing_driven=false exonerates the whole timing layer.
   if (c.route.timing_driven) {
@@ -170,32 +147,21 @@ std::vector<DesignCase> shrink_design_case(const DesignCase& c) {
       s.arch.sb_custom_rot = 5;
     });
   }
-  // Shrink toward the legacy serial router: fewer moving parts in the
-  // reproducer when the A* table or the batch scheduler is not at fault.
-  if (c.route.astar_factor != 0.0) {
-    push([&](DesignCase& s) { s.route.astar_factor = 0.0; });
+  // Shrink toward the admissible table weight, the stored-adjacency
+  // backend and the serial scheduler: a reproducer that survives a
+  // switch localizes the fault outside that component.
+  if (c.route.astar_factor != 1.0) {
+    push([&](DesignCase& s) { s.route.astar_factor = 1.0; });
   }
-  // Shrink toward the stored-adjacency backend and the batched
-  // scheduler: a reproducer that survives either switch localizes the
-  // fault outside the implicit graph / partition router.
   if (c.route.rr_backend == RrBackend::kImplicit) {
     push([&](DesignCase& s) { s.route.rr_backend = RrBackend::kExplicit; });
-  }
-  if (c.route.partition_parallel) {
-    push([&](DesignCase& s) { s.route.partition_parallel = false; });
-  }
-  if (c.route.partition_size != 0) {
-    push([&](DesignCase& s) { s.route.partition_size = 0; });
   }
   if (c.route.net_parallel) {
     push([&](DesignCase& s) { s.route.net_parallel = false; });
   }
-  // Shrink the placer toward the seed-identical serial uniform annealer:
-  // a reproducer that survives these switches exonerates the batch
-  // scheduler / directed generators / timing anneal respectively.
-  if (c.place_batch != 0) {
-    push([&](DesignCase& s) { s.place_batch = 0; });
-  }
+  // Shrink the placer toward the seed-identical uniform annealer: a
+  // reproducer that survives these switches exonerates the directed
+  // generators / timing anneal respectively.
   if (c.place_directed) {
     push([&](DesignCase& s) { s.place_directed = false; });
   }
@@ -217,7 +183,6 @@ BuiltDesign build_design(const DesignCase& c) {
   PlaceOptions popt;
   popt.seed = c.place_seed;
   popt.inner_num = c.place_inner_num;
-  popt.batch_moves = c.place_batch;
   popt.directed_moves = c.place_directed;
   popt.timing_driven = c.place_timing;
   d.pl = place(d.nl, d.pk, d.arch, nx, ny, popt);

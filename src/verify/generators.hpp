@@ -33,10 +33,8 @@ struct DesignCase {
   RouteOptions route;
   std::uint64_t place_seed = 1;
   double place_inner_num = 0.1;
-  /// Placer knobs under differential test (place.hpp): speculative batch
-  /// size (0 = the seed-identical serial discipline), directed move
-  /// generators, and the timing-driven second anneal.
-  std::size_t place_batch = 0;
+  /// Placer knobs under differential test (place.hpp): directed move
+  /// generators and the timing-driven second anneal.
   bool place_directed = false;
   bool place_timing = false;
 

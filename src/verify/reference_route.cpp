@@ -48,10 +48,6 @@ struct RefRouter {
   const double* node_delay = nullptr;  ///< Per-node entering delay [s].
   double spb = 0.0;                    ///< Seconds per unit base cost.
 
-  /// Nets that ever needed the unconstrained retry (transcribed from the
-  /// production router's sticky flag — the partition classifier keeps
-  /// such nets serial for the rest of the run).
-  std::vector<std::uint8_t> routed_unbounded;
   /// Edge-enumeration buffer for the implicit backend (the view's
   /// edges(id, buf) fills it; explicit backends hand back stored spans).
   std::vector<RrEdge> ebuf;
@@ -67,7 +63,6 @@ struct RefRouter {
             const RouteOptions& options)
       : g(graph), pl(placement), opt(options),
         timing(options.timing_driven ? options.timing_hook : nullptr) {
-    routed_unbounded.assign(pl.nets.size(), 0);
     const std::size_t n = g.node_count();
     cap.resize(n);
     occ.assign(n, 0);
@@ -79,16 +74,14 @@ struct RefRouter {
       base_cost[i] = node_base_cost(g.node(i));
     }
     pres_fac = opt.first_iter_pres_fac;
-    if (opt.astar_factor > 0.0) {
-      if (opt.lookahead) {
-        la = opt.lookahead;
-      } else if (timing) {
-        // Delay-annotated twin table, like the production constructor.
-        const DelayProfile prof = timing->delay_profile();
-        la = std::make_shared<const RouteLookahead>(g, &prof);
-      } else {
-        la = std::make_shared<const RouteLookahead>(g);
-      }
+    if (opt.lookahead) {
+      la = opt.lookahead;
+    } else if (timing) {
+      // Delay-annotated twin table, like the production constructor.
+      const DelayProfile prof = timing->delay_profile();
+      la = std::make_shared<const RouteLookahead>(g, &prof);
+    } else {
+      la = std::make_shared<const RouteLookahead>(g);
     }
     if (timing) {
       node_delay = timing->node_delay();
@@ -140,64 +133,38 @@ struct RefRouter {
   double heuristic(RrNodeId from, RrNodeId to, double crit) const {
     const RrNode a = g.node(from);
     const RrNode b = g.node(to);
-    if (la) {
-      if (timing) {
-        // Blended halves with the relaxation weights, transcribed from
-        // the production h_of: the delay half reads the lookahead's delay
-        // twin table (zero when a caller-shared table lacks one, exactly
-        // the production delay_tab null check).
-        const double dly = la->has_delay_table()
-                               ? la->delay_estimate(a, b.x_lo, b.y_lo)
-                               : 0.0;
-        return opt.astar_factor *
-               (crit * dly +
-                (1.0 - crit) * spb * la->estimate(a, b.x_lo, b.y_lo));
-      }
-      // A* key: lookahead table at the target sink's tile, weighted by
-      // astar_factor — the exact expression the production search core
-      // evaluates through its folded HotNode::la_key.
-      return opt.astar_factor * la->estimate(a, b.x_lo, b.y_lo);
+    if (timing) {
+      // Blended halves with the relaxation weights, transcribed from the
+      // production h_of: the delay half reads the lookahead's delay twin
+      // table (zero when a caller-shared table lacks one, exactly the
+      // production delay_tab null check).
+      const double dly = la->has_delay_table()
+                             ? la->delay_estimate(a, b.x_lo, b.y_lo)
+                             : 0.0;
+      return opt.astar_factor *
+             (crit * dly +
+              (1.0 - crit) * spb * la->estimate(a, b.x_lo, b.y_lo));
     }
-    const auto clampdist = [](int lo1, int hi1, int lo2, int hi2) {
-      if (hi1 < lo2) return lo2 - hi1;
-      if (hi2 < lo1) return lo1 - hi2;
-      return 0;
-    };
-    const int dx = clampdist(a.x_lo, a.x_hi, b.x_lo, b.x_hi);
-    const int dy = clampdist(a.y_lo, a.y_hi, b.y_lo, b.y_hi);
-    const double h = opt.astar_fac * static_cast<double>(dx + dy);
-    // Manhattan distance bounds base cost, not delay: blend only the
-    // congestion half (the production search core does the same).
-    return timing ? (1.0 - crit) * spb * h : h;
+    // A* key: lookahead table at the target sink's tile, weighted by
+    // astar_factor — the exact expression the production search core
+    // evaluates through its folded HotNode::la_key.
+    return opt.astar_factor * la->estimate(a, b.x_lo, b.y_lo);
   }
 
-  /// `eff_seed` (when asked for) reports how many leading edges of the
-  /// final tree were pre-seeded rather than routed by this call — zero
-  /// when the unconstrained retry rebuilt the tree from scratch. The
-  /// batched commit stage marks exactly the non-seed nodes, mirroring the
-  /// production Scratch::seed_edges accounting.
+  /// Route from scratch within the bounding window, retrying
+  /// unconstrained when a sink is unreachable inside it.
   bool route_net(std::size_t net_idx, const PlacedNet& net, RouteTree& out,
-                 std::size_t extra_bb, std::size_t* eff_seed = nullptr) {
-    std::size_t seed = out.edges.size();
-    bool ok = route_net_bb(net_idx, net, out, opt.bb_margin + extra_bb);
-    if (!ok) {
-      out = RouteTree{};
-      seed = 0;
-      // Same sticky flag the production route_net sets before its
-      // unconstrained retry (keeps the net serial in partition mode).
-      routed_unbounded[net_idx] = 1;
-      ok = route_net_bb(net_idx, net, out, g.nx() + g.ny());
-    }
-    if (eff_seed) *eff_seed = seed;
-    return ok;
+                 std::size_t extra_bb) {
+    return route_net_bb(net_idx, net, out, opt.bb_margin + extra_bb) ||
+           route_net_bb(net_idx, net, out, g.nx() + g.ny());
   }
 
   bool route_net_bb(std::size_t net_idx, const PlacedNet& net, RouteTree& out,
-                    std::size_t bb_margin, bool speculative = false) {
-    const std::size_t seed_edges = out.edges.size();
+                    std::size_t bb_margin) {
     const BlockLoc& dloc = pl.locs[net.driver];
     const RrNodeId source = g.site(dloc.x, dloc.y).source;
     out.source = source;
+    out.edges.clear();
     out.sinks.clear();
 
     int x_lo = static_cast<int>(dloc.x), x_hi = x_lo;
@@ -225,8 +192,8 @@ struct RefRouter {
 
     // Sink order: near-to-far from the driver (same keys, same sort); in
     // timing mode the per-connection criticalities are fetched here and
-    // the most critical sinks route first, with the legacy near-to-far
-    // key breaking criticality ties — both transcribed from route_net_bb.
+    // the most critical sinks route first, with the near-to-far key
+    // breaking criticality ties — both transcribed from route_net_bb.
     std::vector<std::uint32_t> order(sink_nodes.size());
     std::vector<double> sink_keys(sink_nodes.size());
     std::vector<double> sink_crit;
@@ -253,13 +220,6 @@ struct RefRouter {
     std::unordered_set<RrNodeId> in_tree{source};
     std::unordered_map<RrNodeId, double> tdel;
     if (timing) tdel[source] = 0.0;
-    for (const auto& [from, to] : out.edges) {
-      if (in_tree.insert(to).second) {
-        tree_nodes.push_back(to);
-        if (timing) tdel[to] = tdel.at(from) + node_delay[to];
-      }
-    }
-    const std::size_t n_seed = tree_nodes.size();
 
     std::vector<QItem> heap;
     for (std::uint32_t oi : order) {
@@ -297,7 +257,7 @@ struct RefRouter {
         }
         // Weighted table A* closes expanded nodes for good (transcribed
         // from the production search core's no_reexpand sentinel).
-        if (la && opt.astar_factor > 1.0) {
+        if (opt.astar_factor > 1.0) {
           path_cost[u] = -std::numeric_limits<double>::infinity();
         }
         for (const RrEdge& e : g.edges(u, ebuf)) {
@@ -320,17 +280,6 @@ struct RefRouter {
         }
       }
       if (!found) {
-        if (speculative) {
-          // Window escape under speculation: roll back to the seed tree
-          // (the production router discards its occupancy overlay, so the
-          // seed keeps its occupancy); the serial phase owns retries.
-          for (std::size_t i = n_seed; i < tree_nodes.size(); ++i) {
-            --occ[tree_nodes[i]];
-          }
-          out.edges.resize(seed_edges);
-          out.sinks.clear();
-          return false;
-        }
         for (std::size_t i = 1; i < tree_nodes.size(); ++i) {
           --occ[tree_nodes[i]];
         }
@@ -366,41 +315,6 @@ struct RefRouter {
       (void)from;
       if (seen.insert(to).second) --occ[to];
     }
-  }
-
-  void prune_tree(const PlacedNet& net, RouteTree& t) {
-    if (t.source == kNoRrNode) return;
-    // Pass 1 (forward): keep the clean source-connected subtree.
-    std::vector<std::pair<RrNodeId, RrNodeId>> kept;
-    std::unordered_set<RrNodeId> keep;
-    if (!overused(t.source)) keep.insert(t.source);
-    for (const auto& e : t.edges) {
-      if (keep.contains(e.first) && !overused(e.second)) {
-        keep.insert(e.second);
-        kept.push_back(e);
-      } else {
-        --occ[e.second];
-      }
-    }
-    // Pass 2 (reverse): drop branches feeding none of the net's sinks.
-    std::unordered_set<RrNodeId> useful;
-    for (std::size_t s : net.sinks) {
-      const BlockLoc& l = pl.locs[s];
-      const RrNodeId sk = g.site(l.x, l.y).sink;
-      if (keep.contains(sk)) useful.insert(sk);
-    }
-    std::vector<std::pair<RrNodeId, RrNodeId>> rev;
-    for (auto it = kept.rbegin(); it != kept.rend(); ++it) {
-      if (useful.contains(it->second)) {
-        useful.insert(it->first);
-        rev.push_back(*it);
-      } else {
-        --occ[it->second];
-      }
-    }
-    --occ[t.source];
-    t.edges.assign(rev.rbegin(), rev.rend());
-    t.sinks.clear();
   }
 
   void update_history() {
@@ -460,24 +374,7 @@ RoutingResult reference_route_all(const RrGraphView& g, const Placement& pl,
   std::vector<std::vector<std::size_t>> batches;
   std::vector<std::size_t> live;
 
-  // Partition-parallel state, same formulas as route_all: a fixed region
-  // grid over the fabric; classification is per iteration (windows widen).
-  const bool part_mode = opt.net_parallel && opt.partition_parallel;
-  std::size_t preg = 0, pgx = 0, pgy = 0;
-  std::vector<std::vector<std::size_t>> part_nets;
-  std::vector<std::size_t> serial_nets;
-  if (part_mode) {
-    const std::size_t gx = g.nx() + 2, gy = g.ny() + 2;
-    preg = opt.partition_size != 0
-               ? opt.partition_size
-               : std::max<std::size_t>(4, (std::max(gx, gy) + 3) / 4);
-    preg = std::max<std::size_t>(preg, 1);
-    pgx = (gx + preg - 1) / preg;
-    pgy = (gy + preg - 1) / preg;
-    part_nets.resize(pgx * pgy);
-  }
-
-  if (opt.net_parallel && !part_mode) {
+  if (opt.net_parallel) {
     constexpr int kSchedMargin = 1;  // must match route_all
     const std::size_t gx = g.nx() + 2, gy = g.ny() + 2;
     std::vector<std::uint64_t> color(gx * gy, 0);
@@ -541,109 +438,14 @@ RoutingResult reference_route_all(const RrGraphView& g, const Placement& pl,
     if (!opt.net_parallel) {
       for (std::size_t n = 0; n < pl.nets.size(); ++n) {
         if (iter > 1) {
-          if (opt.incremental) {
-            if (router.overused_count() == 0) break;
-            if (!touches_overuse(res.trees[n])) continue;
-          }
-          if (opt.prune_ripup) {
-            router.prune_tree(pl.nets[n], res.trees[n]);
-          } else {
-            router.rip_up(res.trees[n]);
-            res.trees[n] = RouteTree{};
-          }
-          if (iter > 12) {
-            extra_bb[n] = std::min<std::size_t>(extra_bb[n] + 2,
-                                                g.nx() + g.ny());
-          }
-        }
-        if (!router.route_net(n, pl.nets[n], res.trees[n], extra_bb[n])) {
-          return fail_out();
-        }
-        if (timing_on) dirty.push_back(n);
-      }
-    } else if (part_mode) {
-      // Region-partitioned mode, transcribed serially. Phase 1
-      // (classify, net order) is route_all's verbatim — full rips are
-      // lazy (right before each net's own reroute) so unprocessed nets
-      // keep exerting congestion pressure; only prune_ripup trims here.
-      // Phase 2 rips+routes the partitions one after another in
-      // partition index order — the production parallel phase touches
-      // pairwise-disjoint state, so this serial order is the committed
-      // meaning of "bit-identical at any thread count"; phase 3 rips and
-      // routes boundary and deferred nets interleaved in ascending net
-      // order with full (unbounded-retry) semantics.
-      for (auto& v : part_nets) v.clear();
-      serial_nets.clear();
-      const std::size_t gx = g.nx() + 2, gy = g.ny() + 2;
-      const int reach = static_cast<int>(g.arch().L) - 1;
-      for (std::size_t n = 0; n < pl.nets.size(); ++n) {
-        if (iter > 1) {
-          if (opt.incremental && !touches_overuse(res.trees[n])) continue;
-          if (opt.prune_ripup) {
-            router.prune_tree(pl.nets[n], res.trees[n]);
-          }
-          if (iter > 12) {
-            extra_bb[n] = std::min<std::size_t>(extra_bb[n] + 2,
-                                                g.nx() + g.ny());
-          }
-        }
-        const PlacedNet& net = pl.nets[n];
-        const BlockLoc& dloc = pl.locs[net.driver];
-        int bx_lo = static_cast<int>(dloc.x), bx_hi = bx_lo;
-        int by_lo = static_cast<int>(dloc.y), by_hi = by_lo;
-        for (std::size_t s : net.sinks) {
-          const BlockLoc& l = pl.locs[s];
-          bx_lo = std::min(bx_lo, static_cast<int>(l.x));
-          bx_hi = std::max(bx_hi, static_cast<int>(l.x));
-          by_lo = std::min(by_lo, static_cast<int>(l.y));
-          by_hi = std::max(by_hi, static_cast<int>(l.y));
-        }
-        const int m = static_cast<int>(opt.bb_margin + extra_bb[n]) + reach;
-        bx_lo = std::max(bx_lo - m, 0);
-        by_lo = std::max(by_lo - m, 0);
-        bx_hi = std::min(bx_hi + m, static_cast<int>(gx) - 1);
-        by_hi = std::min(by_hi + m, static_cast<int>(gy) - 1);
-        const std::size_t px = static_cast<std::size_t>(bx_lo) / preg;
-        const std::size_t py = static_cast<std::size_t>(by_lo) / preg;
-        const bool interior =
-            !router.routed_unbounded[n] &&
-            static_cast<std::size_t>(bx_hi) / preg == px &&
-            static_cast<std::size_t>(by_hi) / preg == py;
-        if (interior) {
-          part_nets[py * pgx + px].push_back(n);
-        } else {
-          serial_nets.push_back(n);
-        }
-      }
-
-      std::size_t nonempty = 0;
-      for (const auto& v : part_nets) nonempty += v.empty() ? 0 : 1;
-      if (nonempty != 0) {
-        for (std::size_t p = 0; p < part_nets.size(); ++p) {
-          for (const std::size_t n : part_nets[p]) {
-            if (iter > 1 && !opt.prune_ripup) {
-              router.rip_up(res.trees[n]);
-              res.trees[n] = RouteTree{};
-            }
-            if (router.route_net_bb(n, pl.nets[n], res.trees[n],
-                                    opt.bb_margin + extra_bb[n],
-                                    /*speculative=*/true)) {
-              if (timing_on) dirty.push_back(n);
-            } else {
-              // Window escape -> deferred to the serial phase, already
-              // ripped (a prune seed and its occupancy stay intact).
-              if (!opt.prune_ripup) res.trees[n] = RouteTree{};
-              serial_nets.push_back(n);
-            }
-          }
-        }
-        std::sort(serial_nets.begin(), serial_nets.end());
-      }
-
-      for (const std::size_t n : serial_nets) {
-        if (iter > 1 && !opt.prune_ripup) {
+          if (router.overused_count() == 0) break;
+          if (!touches_overuse(res.trees[n])) continue;
           router.rip_up(res.trees[n]);
           res.trees[n] = RouteTree{};
+          if (iter > 12) {
+            extra_bb[n] = std::min<std::size_t>(extra_bb[n] + 2,
+                                                g.nx() + g.ny());
+          }
         }
         if (!router.route_net(n, pl.nets[n], res.trees[n], extra_bb[n])) {
           return fail_out();
@@ -654,21 +456,15 @@ RoutingResult reference_route_all(const RrGraphView& g, const Placement& pl,
       // The placement-time partition computed above; rip membership is
       // decided per batch against the live occupancy.
       for (const auto& batch : batches) {
-        if (iter > 1 && opt.incremental && router.overused_count() == 0) {
-          break;
-        }
+        if (iter > 1 && router.overused_count() == 0) break;
         // Rip stage (net order): membership decided against the live
         // occupancy, exactly like the serial loop's per-net check.
         live.clear();
         for (std::size_t n : batch) {
           if (iter > 1) {
-            if (opt.incremental && !touches_overuse(res.trees[n])) continue;
-            if (opt.prune_ripup) {
-              router.prune_tree(pl.nets[n], res.trees[n]);
-            } else {
-              router.rip_up(res.trees[n]);
-              res.trees[n] = RouteTree{};
-            }
+            if (!touches_overuse(res.trees[n])) continue;
+            router.rip_up(res.trees[n]);
+            res.trees[n] = RouteTree{};
             if (iter > 12) {
               extra_bb[n] = std::min<std::size_t>(extra_bb[n] + 2,
                                                   g.nx() + g.ny());
@@ -695,13 +491,10 @@ RoutingResult reference_route_all(const RrGraphView& g, const Placement& pl,
         struct Member {
           RouteTree tree;
           bool ok = false;
-          std::size_t seed = 0;
         };
         std::vector<Member> members(live.size());
         for (std::size_t i = 0; i < live.size(); ++i) {
           Member& m = members[i];
-          m.tree = res.trees[live[i]];
-          m.seed = m.tree.edges.size();
           const std::vector<std::uint32_t> snapshot = router.occ;
           m.ok = router.route_net_bb(live[i], pl.nets[live[i]], m.tree,
                                      opt.bb_margin + extra_bb[live[i]]);
@@ -723,8 +516,7 @@ RoutingResult reference_route_all(const RrGraphView& g, const Placement& pl,
           }
           if (!replay) {
             bool hit = committed.contains(m.tree.source);
-            for (std::size_t e = m.seed;
-                 !hit && e < m.tree.edges.size(); ++e) {
+            for (std::size_t e = 0; !hit && e < m.tree.edges.size(); ++e) {
               hit = committed.contains(m.tree.edges[e].second);
             }
             replay = hit;
@@ -732,21 +524,20 @@ RoutingResult reference_route_all(const RrGraphView& g, const Placement& pl,
           if (!replay) {
             committed.insert(m.tree.source);
             ++router.occ[m.tree.source];
-            for (std::size_t e = m.seed; e < m.tree.edges.size(); ++e) {
-              committed.insert(m.tree.edges[e].second);
-              ++router.occ[m.tree.edges[e].second];
+            for (const auto& [from, to] : m.tree.edges) {
+              (void)from;
+              committed.insert(to);
+              ++router.occ[to];
             }
             res.trees[n] = std::move(m.tree);
           } else {
-            std::size_t rseed = 0;
-            if (!router.route_net(n, pl.nets[n], res.trees[n], extra_bb[n],
-                                  &rseed)) {
+            if (!router.route_net(n, pl.nets[n], res.trees[n], extra_bb[n])) {
               return fail_out();
             }
             committed.insert(res.trees[n].source);
-            for (std::size_t e = rseed; e < res.trees[n].edges.size();
-                 ++e) {
-              committed.insert(res.trees[n].edges[e].second);
+            for (const auto& [from, to] : res.trees[n].edges) {
+              (void)from;
+              committed.insert(to);
             }
           }
           if (timing_on) dirty.push_back(n);

@@ -4,16 +4,14 @@
 // boxes and costs must agree bitwise after every commit, the incremental
 // and naive kernels must produce bit-identical deltas, and the tracked
 // total must stay within 1e-9 relative of a from-scratch recompute. Plus
-// whole-placer properties: every randomized configuration (speculative
-// batches, directed generators, timing-driven second anneal) yields a
-// legal placement with a consistent reported cost, and batch-mode
-// placements are bit-identical at 1, 2 and 8 threads.
+// a whole-placer property: every randomized configuration (directed
+// generators, timing-driven second anneal) yields a legal placement with
+// a consistent reported cost.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "place/place.hpp"
-#include "util/thread_pool.hpp"
 #include "verify/generators.hpp"
 #include "verify/oracles.hpp"
 #include "verify/prop.hpp"
@@ -23,8 +21,7 @@ namespace {
 
 void run_cost_sequence(Rng& rng) {
   DesignCase c = gen_design_case(rng);
-  c.place_batch = 0;  // the move sequence below drives the model directly
-  c.place_timing = false;
+  c.place_timing = false;  // the move sequence below drives the model
   const BuiltDesign d = build_design(c);
   if (d.pl.nets.empty()) return;
 
@@ -126,41 +123,6 @@ TEST(PropPlaceDiff, RandomConfigsPlaceLegallyWithConsistentCost) {
   const PropResult res = check_seeds("place_legal", cfg, run_place_case);
   EXPECT_TRUE(res.ok()) << res.report();
   EXPECT_GE(res.cases_run, cfg.only_case ? 1u : 100u);
-}
-
-TEST(PropPlaceDiff, BatchPlacementIsThreadCountInvariant) {
-  ThreadPool p1(1), p2(2), p8(8);
-  const PropConfig cfg = PropConfig::from_env(25);
-  const PropResult res = check_seeds("place_threads", cfg, [&](Rng& rng) {
-    DesignCase c = gen_design_case(rng);
-    c.place_batch = 2 + rng.uniform_int(31);
-    auto run = [&](ThreadPool& p) {
-      ThreadPool::ScopedUse use(p);
-      return build_design(c).pl;
-    };
-    const Placement a = run(p1);
-    const Placement b = run(p2);
-    const Placement d = run(p8);
-    for (std::size_t i = 0; i < a.locs.size(); ++i) {
-      prop_require(a.locs[i].x == b.locs[i].x && a.locs[i].y == b.locs[i].y &&
-                       a.locs[i].sub == b.locs[i].sub,
-                   "1-thread vs 2-thread placement diverged");
-      prop_require(a.locs[i].x == d.locs[i].x && a.locs[i].y == d.locs[i].y &&
-                       a.locs[i].sub == d.locs[i].sub,
-                   "1-thread vs 8-thread placement diverged");
-    }
-    prop_require(a.final_cost == b.final_cost && a.final_cost == d.final_cost,
-                 "final cost diverged across thread counts");
-    prop_require(a.counters.accepted == b.counters.accepted &&
-                     a.counters.accepted == d.counters.accepted &&
-                     a.counters.conflicts == b.counters.conflicts &&
-                     a.counters.conflicts == d.counters.conflicts &&
-                     a.counters.replays == b.counters.replays &&
-                     a.counters.replays == d.counters.replays,
-                 "work counters diverged across thread counts");
-  });
-  EXPECT_TRUE(res.ok()) << res.report();
-  EXPECT_GE(res.cases_run, cfg.only_case ? 1u : 25u);
 }
 
 }  // namespace

@@ -2,11 +2,11 @@
 // (route_all) must agree bit-for-bit with the naive reference router
 // (verify::reference_route_all) — same trees, same iteration count, same
 // overuse and wire census — over hundreds of randomized small designs
-// spanning both rip-up modes, varying A* weights and bounding boxes, both
-// RR backends (the production router on the case's backend, the reference
-// always on the stored-adjacency graph — so implicit-backend cases also
-// prove cross-backend bit-identity end-to-end) and the region-partitioned
-// scheduler.
+// spanning both schedulers (serial and batched), varying A* weights and
+// bounding boxes, and both RR backends (the production router on the
+// case's backend, the reference always on the stored-adjacency graph — so
+// implicit-backend cases also prove cross-backend bit-identity
+// end-to-end).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -69,9 +69,7 @@ TEST(PropRouteDiff, OptimizedMatchesReferenceBitForBit) {
 }
 
 // The deterministic-parallelism contract, as a property: with
-// net_parallel on, the batched router — or, for partition_parallel
-// cases, the region-partitioned router — must produce bit-identical
-// trees,
+// net_parallel on, the batched router must produce bit-identical trees,
 // iteration counts and work counters at 1, 2 and 8 threads — the batch
 // schedule and the commit/replay order may depend only on (graph,
 // placement, options). scratch_grows is the single documented exception

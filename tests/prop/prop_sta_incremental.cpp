@@ -61,8 +61,7 @@ TEST(PropStaIncremental, IncrementalMatchesFullRecompute) {
 
     const RoutingResult ra = route_all(g, d.pl, c.route);
     RouteOptions alt = c.route;
-    alt.astar_factor = 0.0;  // legacy heuristic: different, equally legal
-    alt.astar_fac = 1.3;
+    alt.astar_factor = 1.0;  // a different, equally legal routing
     alt.bb_margin += 2;
     const RoutingResult rb = route_all(g, d.pl, alt);
     if (!ra.success || !rb.success) return;  // unroutable case: skip

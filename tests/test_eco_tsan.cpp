@@ -6,7 +6,7 @@
 // are strictly serial — so the whole replay must be bit-identical at 1, 2
 // and 8 threads. Under -DNF_TSAN=ON this certifies the no-race contract;
 // in a plain build it is a fast determinism smoke. Matches the
-// test_*_tsan pattern (test_route_tsan, test_place_tsan).
+// test_*_tsan pattern (test_route_tsan, test_route_implicit_tsan).
 #include <gtest/gtest.h>
 
 #include <vector>

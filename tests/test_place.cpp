@@ -209,70 +209,6 @@ TEST(Place, DirectedMovesAreLegalAndDeterministic) {
   }
 }
 
-// The naive (full-rescan) kernel is a perf baseline, not a different
-// algorithm: it must reproduce the incremental kernel's placement
-// bit-for-bit.
-TEST(Place, NaiveKernelMatchesIncremental) {
-  Fixture f;
-  PlaceOptions fast, naive;
-  naive.naive_cost = true;
-  const auto a = place(f.nl, f.pk, f.arch, 6, 6, fast);
-  const auto b = place(f.nl, f.pk, f.arch, 6, 6, naive);
-  ASSERT_EQ(a.locs.size(), b.locs.size());
-  for (std::size_t i = 0; i < a.locs.size(); ++i) {
-    EXPECT_EQ(a.locs[i].x, b.locs[i].x);
-    EXPECT_EQ(a.locs[i].y, b.locs[i].y);
-  }
-  EXPECT_EQ(a.final_cost, b.final_cost);
-}
-
-TEST(Place, BatchModeIsThreadCountInvariant) {
-  Fixture f(300, "place-batch");
-  PlaceOptions opt;
-  opt.batch_moves = 16;
-  opt.directed_moves = true;
-  auto run = [&](std::size_t threads) {
-    ThreadPool pool(threads);
-    ThreadPool::ScopedUse use(pool);
-    return place(f.nl, f.pk, f.arch, 7, 7, opt);
-  };
-  const auto a = run(1);
-  const auto b = run(2);
-  const auto c = run(8);
-  check_placement(f.pk, f.arch, a);
-  EXPECT_GT(a.counters.batches, 0u);
-  ASSERT_EQ(a.locs.size(), b.locs.size());
-  for (std::size_t i = 0; i < a.locs.size(); ++i) {
-    EXPECT_EQ(a.locs[i].x, b.locs[i].x);
-    EXPECT_EQ(a.locs[i].y, b.locs[i].y);
-    EXPECT_EQ(a.locs[i].sub, b.locs[i].sub);
-    EXPECT_EQ(a.locs[i].x, c.locs[i].x);
-    EXPECT_EQ(a.locs[i].y, c.locs[i].y);
-    EXPECT_EQ(a.locs[i].sub, c.locs[i].sub);
-  }
-  EXPECT_EQ(a.final_cost, b.final_cost);
-  EXPECT_EQ(a.final_cost, c.final_cost);
-  EXPECT_EQ(a.counters.accepted, c.counters.accepted);
-  EXPECT_EQ(a.counters.conflicts, c.counters.conflicts);
-  EXPECT_EQ(a.counters.replays, c.counters.replays);
-}
-
-// Batch sizes 0 and 1 both mean "the serial discipline" and must agree
-// with each other (and, by the golden tests above, with the seed
-// annealer).
-TEST(Place, BatchSizeOneKeepsSerialDiscipline) {
-  Fixture f;
-  PlaceOptions zero, one;
-  one.batch_moves = 1;
-  const auto a = place(f.nl, f.pk, f.arch, 6, 6, zero);
-  const auto b = place(f.nl, f.pk, f.arch, 6, 6, one);
-  ASSERT_EQ(a.locs.size(), b.locs.size());
-  for (std::size_t i = 0; i < a.locs.size(); ++i) {
-    EXPECT_EQ(a.locs[i].x, b.locs[i].x);
-    EXPECT_EQ(a.locs[i].y, b.locs[i].y);
-  }
-}
-
 // Regression: placement_net_criticality used to leave LUTs on
 // combinational cycles with arrival time 0 (they never drain from the
 // topological pass), silently under-weighting every net on the cycle.

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "netlist/mcnc.hpp"
 #include "netlist/synth_gen.hpp"
 #include "pack/pack.hpp"
@@ -226,17 +231,26 @@ TEST(OveruseTracker, ForEachVisitsEachOverusedOnceAndCompacts) {
   EXPECT_EQ(ids, (std::vector<RrNodeId>{0, 2, 3}));
 }
 
-TEST(Route, PruneRipupConvergesToLegalRouting) {
-  // Branch-level rip-up is an opt-in policy that changes trees (it is
-  // deliberately NOT bit-compatible with the default full rip-up); it
-  // must still converge to a legal routing.
-  Flow f(150, 40, "route-prune");
+TEST(Route, RejectsInvalidAstarFactor) {
+  // The lookahead weight scales every heuristic evaluation; zero,
+  // negative and non-finite weights are rejected up front, naming the
+  // option.
+  Flow f(100, 40, "route-astar");
   const RrGraph g(f.arch, f.pl.nx, f.pl.ny);
-  RouteOptions opt;
-  opt.prune_ripup = true;
-  const auto r = route_all(g, f.pl, opt);
-  ASSERT_TRUE(r.success) << "overused=" << r.overused_nodes;
-  check_routing(g, f.pl, r);
+  for (const double bad : {0.0, -1.0, std::nan(""),
+                           std::numeric_limits<double>::infinity()}) {
+    RouteOptions opt;
+    opt.astar_factor = bad;
+    try {
+      route_all(g, f.pl, opt);
+      ADD_FAILURE() << "route_all accepted astar_factor " << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("astar_factor"),
+                std::string::npos);
+    }
+    EXPECT_THROW(find_min_channel_width(f.arch, f.pl, 32, opt),
+                 std::invalid_argument);
+  }
 }
 
 TEST(Route, CheckRoutingCatchesWrongSource) {

@@ -1,14 +1,13 @@
-// ThreadSanitizer coverage for the partition-parallel route stage over
-// the implicit RR backend: the region scheduler's phase 2 routes whole
-// interior nets concurrently (one worker per partition) against shared
-// occupancy read via the coordinate-computed graph. In a plain build
-// this is a fast smoke plus the 1-vs-8-thread bit-identity contract; in
-// an NF_TSAN build (cmake -DNF_TSAN=ON) it is the race check the
-// partition protocol is certified against — workers may only read the
-// frozen occupancy and the (stateless) implicit graph, and write their
-// own partition's deferred-op log, so TSan must stay silent. Kept to
-// two iterations (route + rip/classify/partition round) so the tier1
-// suite stays fast even under TSan's ~10x slowdown.
+// ThreadSanitizer coverage for the batched net-parallel route stage over
+// the implicit RR backend: batch members route concurrently against
+// shared occupancy while expanding edges through the coordinate-computed
+// graph, each into its own scratch arena (including the implicit edge
+// buffer). In a plain build this is a fast smoke plus the 1-vs-8-thread
+// bit-identity contract; in an NF_TSAN build (cmake -DNF_TSAN=ON) it is
+// the race check for that backend — workers may only read the frozen
+// occupancy and the (stateless) implicit graph, so TSan must stay silent.
+// Kept to two iterations (route + rip/reroute round) so the tier1 suite
+// stays fast even under TSan's ~10x slowdown.
 #include <gtest/gtest.h>
 
 #include "netlist/mcnc.hpp"
@@ -20,7 +19,7 @@
 namespace nemfpga {
 namespace {
 
-TEST(RouteImplicitTsan, PartitionSchedulerIsRaceFreeAndThreadInvariant) {
+TEST(RouteImplicitTsan, BatchedSchedulerIsRaceFreeAndThreadInvariant) {
   Netlist nl = generate_benchmark("tseng");
   ArchParams arch;
   arch.W = 48;
@@ -34,16 +33,7 @@ TEST(RouteImplicitTsan, PartitionSchedulerIsRaceFreeAndThreadInvariant) {
 
   RouteOptions opt;  // defaults: lookahead on, net_parallel on
   opt.rr_backend = RrBackend::kImplicit;
-  opt.partition_parallel = true;
-  opt.max_iterations = 2;  // iteration 2 runs the rip/classify/partition path
-  // A net is interior only when its whole dilated window (bb + bb_margin
-  // + wire reach L-1, so >= 2*(margin+3)+1 tiles wide) fits one region.
-  // tseng's grid is only ~13 tiles, so the default margin/region sizes
-  // would classify every net as boundary and the parallel phase would
-  // never dispatch; shrink the margin and widen the regions so corner
-  // nets really route concurrently here.
-  opt.bb_margin = 1;
-  opt.partition_size = 9;
+  opt.max_iterations = 2;  // iteration 2 runs the rip-up/reroute path
 
   RoutingResult r1, r8;
   {
@@ -58,14 +48,18 @@ TEST(RouteImplicitTsan, PartitionSchedulerIsRaceFreeAndThreadInvariant) {
   }
 
   // Two iterations rarely clear congestion; what matters is that the
-  // partition stage really dispatched concurrent batches...
+  // batched stage really dispatched concurrent members...
   EXPECT_EQ(r8.iterations, 2u);
   EXPECT_GT(r8.counters.batches, 0u);
-  EXPECT_GT(r8.counters.nets_routed, 0u);
+  EXPECT_GT(r8.counters.nets_rerouted, 0u);
 
-  // ...and that the trees are bit-identical at any thread count (the
-  // interior/boundary classification and serial replay order depend only
-  // on the routing state, never on worker interleaving).
+  // ...and that the trees and work counters are bit-identical at any
+  // thread count (the batch schedule and the commit/replay order depend
+  // only on the routing state, never on worker interleaving).
+  EXPECT_EQ(r1.iterations, r8.iterations);
+  EXPECT_EQ(r1.counters.batches, r8.counters.batches);
+  EXPECT_EQ(r1.counters.conflict_replays, r8.counters.conflict_replays);
+  EXPECT_EQ(r1.counters.nodes_expanded, r8.counters.nodes_expanded);
   ASSERT_EQ(r1.trees.size(), r8.trees.size());
   for (std::size_t n = 0; n < r1.trees.size(); ++n) {
     ASSERT_EQ(r1.trees[n].source, r8.trees[n].source) << "net " << n;

@@ -120,6 +120,33 @@ TEST(JobFromJson, RejectsInvalidSpecs) {
                                  R"("variant":"ecl"})"),
                              defaults),
                std::runtime_error);
+
+  // Numeric fields are range-checked before any cast: non-finite,
+  // negative, fractional and out-of-range values are rejected with an
+  // error naming the field.
+  const auto rejects = [&](const char* body, const char* field) {
+    try {
+      job_from_json(parse_json_object(body), defaults);
+      ADD_FAILURE() << "accepted " << body;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << body << " -> " << e.what();
+    }
+  };
+  rejects(R"({"op":"flow","synth_luts":-1})", "synth_luts");
+  rejects(R"({"op":"flow","synth_luts":nan})", "synth_luts");
+  rejects(R"({"op":"flow","synth_luts":1e30})", "synth_luts");
+  rejects(R"({"op":"flow","synth_luts":2.5})", "synth_luts");
+  rejects(R"({"op":"flow","synth_luts":100,"inputs":-4})", "inputs");
+  rejects(R"({"op":"flow","synth_luts":100,"outputs":inf})", "outputs");
+  rejects(R"({"op":"flow","synth_luts":100,"latches":1e300})", "latches");
+  rejects(R"({"op":"flow","synth_luts":100,"locality":nan})", "locality");
+  rejects(R"({"op":"flow","benchmark":"tseng","w":nan})", "w");
+  rejects(R"({"op":"flow","benchmark":"tseng","w":1e30})", "w");
+  rejects(R"({"op":"flow","benchmark":"tseng","w":64.5})", "w");
+  rejects(R"({"op":"flow","benchmark":"tseng","seed":-1})", "seed");
+  rejects(R"({"op":"flow","benchmark":"tseng","seed":1e300})", "seed");
+  rejects(R"({"op":"flow","benchmark":"tseng","seed":-inf})", "seed");
 }
 
 // ---------------------------------------------------------------------

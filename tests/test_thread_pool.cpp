@@ -114,5 +114,24 @@ TEST(ThreadPool, LargeOversubscribedSum) {
   EXPECT_EQ(sum.load(), static_cast<std::uint64_t>(n) * (n - 1) / 2);
 }
 
+// NF_THREADS decoding only — no pool is ever built at the decoded size.
+TEST(ThreadPool, NfThreadsIsValidatedAndCapped) {
+  bool clamped = true;
+  EXPECT_EQ(threads_from_env("8", &clamped), 8u);
+  EXPECT_FALSE(clamped);
+  EXPECT_EQ(threads_from_env("256", &clamped), kMaxThreads);
+  EXPECT_FALSE(clamped);
+  EXPECT_EQ(threads_from_env("257", &clamped), kMaxThreads);
+  EXPECT_TRUE(clamped);
+  EXPECT_EQ(threads_from_env("99999999999999999999999", &clamped),
+            kMaxThreads);
+  EXPECT_TRUE(clamped);
+  for (const char* bad : {"", "abc", "0", "-3", "4x"}) {
+    EXPECT_FALSE(threads_from_env(bad, &clamped)) << bad;
+    EXPECT_FALSE(clamped) << bad;
+  }
+  EXPECT_FALSE(threads_from_env(nullptr, &clamped));
+}
+
 }  // namespace
 }  // namespace nemfpga

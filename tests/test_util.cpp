@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "util/flags.hpp"
 #include "util/linear.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -290,6 +291,28 @@ TEST(Units, Constants) {
   EXPECT_NEAR(kEps0, 8.854e-12, 1e-14);
   EXPECT_DOUBLE_EQ(275 * nano, 2.75e-7);
   EXPECT_DOUBLE_EQ(20 * atto, 2e-17);
+}
+
+// The shared CLI operand parsers accept exactly the whole token: the
+// inputs std::stoul/std::stod used to misread are all rejected.
+TEST(Flags, SizeParserIsStrict) {
+  EXPECT_EQ(parse_size("0"), 0u);
+  EXPECT_EQ(parse_size("118"), 118u);
+  EXPECT_EQ(parse_size("9999999999999999999"), 9999999999999999999ull);
+  for (const char* bad : {"", "3x", "x3", "-3", "+3", " 3", "1e30", "nan",
+                          "3.0", "10000000000000000000"}) {
+    EXPECT_FALSE(parse_size(bad)) << bad;
+  }
+}
+
+TEST(Flags, DoubleParserIsStrict) {
+  EXPECT_EQ(parse_double("1.5"), 1.5);
+  EXPECT_EQ(parse_double("-2e-3"), -2e-3);
+  EXPECT_EQ(parse_double("4"), 4.0);
+  for (const char* bad : {"", "1.2q", "nan", "-nan", "inf", "-inf", "1e400",
+                          "1.5 "}) {
+    EXPECT_FALSE(parse_double(bad)) << bad;
+  }
 }
 
 }  // namespace

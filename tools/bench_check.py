@@ -32,10 +32,8 @@ the configuration, and critical_path_s joins the correctness fields —
 the timing-driven route is bit-deterministic, so any drift between
 same-configuration runs is a correctness bug, not noise.
 
-Schema 4 adds the selectable RR backend and the partition scheduler.
-The partition knobs (partition_parallel / partition_size) join the
-configuration tuple: they change the (still deterministic) routing.
-rr_backend deliberately does NOT — the implicit and explicit graphs are
+Schema 4 adds the selectable RR backend. rr_backend deliberately does
+NOT join the configuration tuple — the implicit and explicit graphs are
 bit-identical by construction, so cross-backend runs must agree on every
 correctness field and work counter; diffing them is exactly how that
 claim is audited. Wall-time comparison, however, additionally requires
@@ -47,18 +45,14 @@ design flipping between routable and unroutable is a router bug.
 
 The place family (nemfpga-place-bench-1, written by bench/place_perf)
 follows the same philosophy with placer-shaped fields. The annealing
-trajectory is pinned bit-identical across thread counts AND across the
-cost kernels (naive vs incremental), so neither `threads` nor
-`cost_kernel` joins the configuration tuple: diffing a 1-thread run
-against an 8-thread run, or a naive-kernel run against the incremental
-kernel, is exactly how those equivalence claims are audited — the
-final cost, the placement checksum, and the move/accept counters must
-all hold. The knobs that legitimately change the trajectory
-(batch_moves, directed, timing_driven, inner_num, seed) ARE the
-configuration. `rescans` is kernel-internal telemetry (the kernels
-count fallback work differently), so it is only pinned when the
-cost_kernel matches. Wall time additionally requires the same threads
-and the same cost_kernel. A route bench and a place bench measure
+trajectory is pinned bit-identical across thread counts, so `threads`
+does not join the configuration tuple: diffing a 1-thread run against
+an 8-thread run is exactly how that claim is audited — the final cost,
+the placement checksum, and the move/accept/rescan counters must all
+hold. The knobs that legitimately change the trajectory (directed,
+timing_driven, inner_num, seed) ARE the configuration. Wall time
+additionally requires the same threads. A route bench and a place bench
+measure
 different programs entirely, so cross-family comparison is a hard
 error, not a waiver.
 
@@ -134,14 +128,10 @@ COUNTER_FIELDS = ("heap_pushes", "nodes_expanded", "sink_searches")
 COUNTER_OPTIONAL_FIELDS = ("sta_net_evals", "sta_block_updates")
 
 # Place-family correctness fields (flat per-circuit keys, no "counters"
-# sub-object). All of these are pinned across thread counts and across
-# cost kernels: the speculative batch commit and the incremental cost
-# core are both required to reproduce the serial/naive trajectory
-# bit-for-bit. rescans is deliberately absent — it counts kernel-internal
-# fallback work and is only comparable between identical kernels.
+# sub-object). All of these are pinned across thread counts: the
+# annealing trajectory is deterministic.
 PLACE_EXACT_FIELDS = ("final_cost", "final_weighted_cost", "cost_checksum",
-                      "moves", "accepted", "directed_moves", "batches",
-                      "conflicts", "repairs", "replays",
+                      "moves", "accepted", "rescans", "directed_moves",
                       "route_w", "routed", "critical_path_s")
 
 # Eco-family correctness fields: every one is a deterministic function of
@@ -205,13 +195,12 @@ def family(data):
 
 
 def place_config(data):
-    """The fields that select which annealing trajectory ran. threads and
-    cost_kernel are deliberately excluded: the placer is required to be
-    bit-identical across both, so cross-thread and cross-kernel diffs
-    must still pin every correctness field — that diff IS the audit."""
-    return ("place-1", data.get("batch_moves"), data.get("directed"),
-            data.get("timing_driven"), data.get("inner_num"),
-            data.get("seed"))
+    """The fields that select which annealing trajectory ran. threads is
+    deliberately excluded: the placer is required to be bit-identical
+    across thread counts, so cross-thread diffs must still pin every
+    correctness field — that diff IS the audit."""
+    return ("place-1", data.get("directed"), data.get("timing_driven"),
+            data.get("inner_num"), data.get("seed"))
 
 
 def eco_config(data):
@@ -261,12 +250,11 @@ def router_config(data):
         return ("bench-3", data.get("astar_factor"),
                 data.get("net_parallel"), data.get("timing_driven"),
                 data.get("crit_exp"))
-    # Schema 4: the partition scheduler knobs select the routing, the RR
-    # backend does not (bit-identical by design — cross-backend runs must
-    # agree on correctness fields, which is how the claim is audited).
+    # Schema 4: the RR backend does not select the routing (bit-identical
+    # by design — cross-backend runs must agree on correctness fields,
+    # which is how the claim is audited).
     return ("bench-4", data.get("astar_factor"), data.get("net_parallel"),
-            data.get("timing_driven"), data.get("crit_exp"),
-            data.get("partition_parallel"), data.get("partition_size"))
+            data.get("timing_driven"), data.get("crit_exp"))
 
 
 def compare(base, cand, max_regress_pct):
@@ -490,7 +478,6 @@ def compare_place(base, cand, max_regress_pct):
             f"({place_config(base)} vs {place_config(cand)}): "
             "correctness fields are not comparable; only checking "
             "circuit coverage")
-    same_kernel = base.get("cost_kernel") == cand.get("cost_kernel")
     base_by_name = {c["name"]: c for c in base["circuits"]}
     for c in cand["circuits"]:
         b = base_by_name.get(c["name"])
@@ -503,33 +490,24 @@ def compare_place(base, cand, max_regress_pct):
                 failures.append(
                     f"{c['name']}: {fld} changed "
                     f"{b.get(fld)!r} -> {c.get(fld)!r} (the annealing "
-                    "trajectory is pinned bit-identical across threads "
-                    "and cost kernels; any drift is a correctness bug)")
-        if same_kernel and b.get("rescans") != c.get("rescans"):
-            failures.append(
-                f"{c['name']}: rescans changed "
-                f"{b.get('rescans')!r} -> {c.get('rescans')!r} "
-                "(same cost kernel must do identical fallback work)")
+                    "trajectory is pinned bit-identical across threads; "
+                    "any drift is a correctness bug)")
     missing = [n for n in base_by_name
                if n not in {c["name"] for c in cand["circuits"]}]
     if missing:
         failures.append(f"candidate dropped circuits: {', '.join(missing)}")
 
     # Wall times compare only between like-for-like machines: the same
-    # thread count AND the same cost kernel (the naive kernel exists to
-    # price the incremental machinery — its wall clock is the baseline of
-    # a speedup claim, not a regression).
+    # thread count.
     wall_comparable = (
         base.get("schema") == cand.get("schema")
         and base.get("threads") == cand.get("threads")
-        and same_config
-        and same_kernel)
+        and same_config)
     if not wall_comparable:
         notes.append(
             "runs are not wall-comparable "
-            f"(threads {base.get('threads')} vs {cand.get('threads')}, "
-            f"kernel {base.get('cost_kernel')} vs "
-            f"{cand.get('cost_kernel')}): wall budget waived")
+            f"(threads {base.get('threads')} vs {cand.get('threads')}): "
+            "wall budget waived")
     bw, cw = base["total_wall_s"], cand["total_wall_s"]
     if wall_comparable and bw > 0 and \
             cw > bw * (1.0 + max_regress_pct / 100.0):
@@ -755,14 +733,12 @@ def selftest():
     assert compare(base, dropped_t, 15.0), \
         "dropped circuit still fails across schemas 2 vs 3"
 
-    # Schema 4 (RR backends + partition scheduler).
+    # Schema 4 (RR backends).
     m_base = json.loads(json.dumps(base))
     m_base["schema"] = "nemfpga-route-bench-4"
     m_base["timing_driven"] = False
     m_base["crit_exp"] = 1.0
     m_base["rr_backend"] = "explicit"
-    m_base["partition_parallel"] = False
-    m_base["partition_size"] = 0
     m_base["peak_rss_bytes"] = 500_000_000
     m_base["circuits"][0]["infeasible"] = False
     m_base["circuits"][0]["rr_nodes"] = 10_000
@@ -798,14 +774,6 @@ def selftest():
     assert compare(m_base, imp_nodes, 15.0), \
         "rr_nodes drift must fail (node set is backend-invariant)"
 
-    # The partition scheduler is a router configuration: its runs route
-    # differently (deterministically), so correctness diffs are waived.
-    part = json.loads(json.dumps(m_base))
-    part["partition_parallel"] = True
-    part["circuits"][0]["tree_checksum"] = "partition-differs"
-    assert compare(m_base, part, 15.0) == [], \
-        "partition-scheduler runs are a different config"
-
     # Infeasibility is a correctness verdict.
     infeas = json.loads(json.dumps(m_base))
     infeas["circuits"][0]["infeasible"] = True
@@ -825,19 +793,16 @@ def selftest():
     p_base = {
         "schema": "nemfpga-place-bench-1",
         "threads": 1,
-        "batch_moves": 0,
         "directed": True,
         "timing_driven": False,
         "inner_num": 1.0,
         "seed": 1,
-        "cost_kernel": "incremental",
         "total_wall_s": 5.0,
         "peak_rss_bytes": 100_000_000,
         "circuits": [{
             "name": "synth-l", "luts": 5760, "blocks": 1500, "nets": 5251,
             "place_wall_s": 0.3, "moves": 1_000_000, "moves_per_s": 3e6,
             "accepted": 400_000, "rescans": 1234, "directed_moves": 50_000,
-            "batches": 0, "conflicts": 0, "repairs": 0, "replays": 0,
             "final_cost": 4242.5, "final_weighted_cost": 4242.5,
             "cost_checksum": "a4e8f50864144d31",
             "route_w": 54, "routed": True,
@@ -868,8 +833,8 @@ def selftest():
     assert compare(p_base, p_drift, 15.0), \
         "accepted-move drift must fail (trajectory is pinned)"
 
-    # Cross-thread: wall budget waived, but the batch commit protocol is
-    # required to be thread-invariant, so every correctness field holds.
+    # Cross-thread: wall budget waived, but the annealer is required to
+    # be thread-invariant, so every correctness field holds.
     p_t8 = json.loads(json.dumps(p_base))
     p_t8["threads"] = 8
     p_t8["total_wall_s"] = 99.0
@@ -877,36 +842,23 @@ def selftest():
         "cross-thread place wall time must not trip the budget"
     p_t8["circuits"][0]["cost_checksum"] = "thread-diverged"
     assert compare(p_base, p_t8, 15.0), \
-        "cross-thread checksum drift must fail (commit is deterministic)"
+        "cross-thread checksum drift must fail (anneal is deterministic)"
 
-    # Cross-kernel: naive vs incremental must produce the identical
-    # trajectory; rescans (kernel telemetry) and wall time are waived.
-    p_naive = json.loads(json.dumps(p_base))
-    p_naive["cost_kernel"] = "naive"
-    p_naive["total_wall_s"] = 99.0
-    p_naive["circuits"][0]["rescans"] = 999_999
-    assert compare(p_base, p_naive, 15.0) == [], \
-        "cross-kernel rescans/wall deltas must not fail"
-    p_naive["circuits"][0]["final_cost"] = 4242.6
-    assert compare(p_base, p_naive, 15.0), \
-        "cross-kernel cost drift must fail (kernels are pinned identical)"
-
-    # Same kernel: rescans is pinned.
+    # rescans is pinned.
     p_rescan = json.loads(json.dumps(p_base))
     p_rescan["circuits"][0]["rescans"] = 1235
-    assert compare(p_base, p_rescan, 15.0), \
-        "rescan drift under the same kernel must fail"
+    assert compare(p_base, p_rescan, 15.0), "rescan drift must fail"
 
     # Different placer knobs: a different trajectory; coverage only.
-    p_batch = json.loads(json.dumps(p_base))
-    p_batch["batch_moves"] = 32
-    p_batch["circuits"][0]["cost_checksum"] = "batch-differs"
-    p_batch["circuits"][0]["batches"] = 31_250
-    assert compare(p_base, p_batch, 15.0) == [], \
-        "different batch_moves is a different config"
-    p_batch_drop = json.loads(json.dumps(p_batch))
-    p_batch_drop["circuits"] = [dict(p_batch["circuits"][0], name="other")]
-    assert compare(p_base, p_batch_drop, 15.0), \
+    p_knob = json.loads(json.dumps(p_base))
+    p_knob["directed"] = False
+    p_knob["circuits"][0]["cost_checksum"] = "directed-differs"
+    p_knob["circuits"][0]["directed_moves"] = 0
+    assert compare(p_base, p_knob, 15.0) == [], \
+        "different directed setting is a different config"
+    p_knob_drop = json.loads(json.dumps(p_knob))
+    p_knob_drop["circuits"] = [dict(p_knob["circuits"][0], name="other")]
+    assert compare(p_base, p_knob_drop, 15.0), \
         "dropped circuit still fails across place configs"
 
     p_dropped = json.loads(json.dumps(p_base))

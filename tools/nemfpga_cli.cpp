@@ -25,8 +25,10 @@
 #include "netlist/synth_gen.hpp"
 #include "route/report.hpp"
 #include "service/server.hpp"
+#include "util/flags.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 #include "verify/generators.hpp"
 
 using namespace nemfpga;
@@ -46,7 +48,6 @@ struct Args {
   bool activity = false;
   bool timing = false;
   bool place_timing = false;
-  std::size_t place_batch = 0;
   double crit_exp = 1.0;
   std::string variant = "cmos";
   std::string sb_pattern = "wilton";
@@ -87,10 +88,6 @@ struct Args {
                "  --place-timing     criticality-weighted second anneal in\n"
                "                     the placer (reports both the\n"
                "                     bounding-box and weighted objectives)\n"
-               "  --place-batch N    speculative move-batch size for the\n"
-               "                     deterministic parallel annealer\n"
-               "                     (0 = serial; results are identical at\n"
-               "                     any thread count)\n"
                "  --backend B        switch-technology backend (registered:\n"
                "                     cmos | nem-naive | nem-opt | rram);\n"
                "                     --variant is an alias\n"
@@ -107,7 +104,7 @@ struct Args {
                "  --port P           serve: TCP port (default 0 = pick an\n"
                "                     ephemeral port and print it)\n"
                "  --threads N        serve: concurrent flow workers "
-               "(default 8)\n"
+               "(default 8, at most 256)\n"
                "  --cache-mb N       serve: artifact-cache budget "
                "(default 4096)\n");
   std::exit(2);
@@ -117,31 +114,35 @@ Args parse(int argc, char** argv) {
   if (argc < 2) usage();
   Args a;
   a.command = argv[1];
+  const FlagParser fp("nemfpga", argc, argv);
   for (int i = 2; i < argc; ++i) {
     const std::string flag = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) usage(("missing value for " + flag).c_str());
-      return argv[++i];
-    };
-    if (flag == "--benchmark") a.benchmark = value();
-    else if (flag == "--blif") a.blif = value();
-    else if (flag == "--synth") a.synth_luts = std::stoul(value());
-    else if (flag == "--inputs") a.inputs = std::stoul(value());
-    else if (flag == "--outputs") a.outputs = std::stoul(value());
-    else if (flag == "--latches") a.latches = std::stoul(value());
-    else if (flag == "--width") a.width = std::stoul(value());
-    else if (flag == "--variant" || flag == "--backend") a.variant = value();
-    else if (flag == "--sb-pattern") a.sb_pattern = value();
-    else if (flag == "--downsize") a.downsize = std::stod(value());
+    const char* f = flag.c_str();
+    if (flag == "--benchmark") a.benchmark = fp.flag_operand(f, i);
+    else if (flag == "--blif") a.blif = fp.flag_operand(f, i);
+    else if (flag == "--synth") a.synth_luts = fp.parse_size_flag(f, i);
+    else if (flag == "--inputs") a.inputs = fp.parse_size_flag(f, i);
+    else if (flag == "--outputs") a.outputs = fp.parse_size_flag(f, i);
+    else if (flag == "--latches") a.latches = fp.parse_size_flag(f, i);
+    else if (flag == "--width") a.width = fp.parse_size_flag(f, i);
+    else if (flag == "--variant" || flag == "--backend") {
+      a.variant = fp.flag_operand(f, i);
+    } else if (flag == "--sb-pattern") a.sb_pattern = fp.flag_operand(f, i);
+    else if (flag == "--downsize") a.downsize = fp.parse_double_flag(f, i);
     else if (flag == "--timing") a.timing = true;
     else if (flag == "--place-timing") a.place_timing = true;
-    else if (flag == "--place-batch") a.place_batch = std::stoul(value());
-    else if (flag == "--crit-exp") a.crit_exp = std::stod(value());
-    else if (flag == "--edits") a.edits = std::stoul(value());
-    else if (flag == "--edit-seed") a.edit_seed = std::stoull(value());
-    else if (flag == "--port") a.port = std::stoul(value());
-    else if (flag == "--threads") a.threads = std::stoul(value());
-    else if (flag == "--cache-mb") a.cache_mb = std::stoul(value());
+    else if (flag == "--crit-exp") a.crit_exp = fp.parse_double_flag(f, i);
+    else if (flag == "--edits") a.edits = fp.parse_size_flag(f, i);
+    else if (flag == "--edit-seed") a.edit_seed = fp.parse_size_flag(f, i);
+    else if (flag == "--port") a.port = fp.parse_size_flag(f, i);
+    else if (flag == "--threads") {
+      const char* tok = fp.flag_operand(f, i);
+      a.threads = fp.size_value(f, tok);
+      if (a.threads > kMaxThreads) {
+        fp.flag_error(f, tok, " (at most " + std::to_string(kMaxThreads) +
+                                  " workers)");
+      }
+    } else if (flag == "--cache-mb") a.cache_mb = fp.parse_size_flag(f, i);
     else if (flag == "--study") a.study = true;
     else if (flag == "--activity") a.activity = true;
     else usage(("unknown option " + flag).c_str());
@@ -212,7 +213,6 @@ int cmd_flow(const Args& a) {
   opt.arch.W = a.width;
   opt.arch.sb_pattern = parse_sb_pattern(a.sb_pattern);
   opt.place.timing_driven = a.place_timing;
-  opt.place.batch_moves = a.place_batch;
   if (a.timing) {
     opt.route.timing_driven = true;
     opt.route.criticality_exp = a.crit_exp;

@@ -1,9 +1,9 @@
 #!/usr/bin/env sh
 # Bounded fuzz campaign: the deterministic parser mutation fuzzer plus a
 # scaled-up run of the router differential property, whose generator
-# randomizes the A* lookahead weight across [0, 1.2] (0 = legacy
-# Manhattan profile, 0.9..1.2 = admissible-to-mildly-weighted lookahead),
-# flips net_parallel, and — since the timing-driven refactor — flips
+# randomizes the A* lookahead weight across 0.9..1.2 (admissible to
+# mildly weighted), flips net_parallel, and — since the timing-driven
+# refactor — flips
 # timing_driven (~35% of cases) with a criticality exponent drawn from
 # {1.0, 1.5, ..., 3.0} and max_criticality from {0.99, 0.999}, so both
 # search cores, the batch scheduler and the blended timing cost are
@@ -12,9 +12,8 @@
 # full-recompute reference hook. The placer differential campaign then
 # drives the incremental bounding-box cost model against the full-rescan
 # oracle over randomized move/swap sequences with randomized placer knobs
-# (speculative batch sizes 2..32, directed-move generators, timing-driven
-# second anneal, weighted nets), including the 1/2/8-thread bit-identity
-# property for the speculative commit protocol. The ECO campaign then
+# (directed-move generators, timing-driven second anneal, weighted nets).
+# The ECO campaign then
 # replays randomized edit streams (the generator's mutation mode: pin
 # connects/disconnects/retargets, block moves/swaps, with a deliberate
 # minority of precondition-violating ops) through a live EcoFlow session,
@@ -36,14 +35,13 @@
 #       prop_eco_diff prop_sta_incremental
 #   tools/run_fuzz.sh build-asan 100000
 #
-# The generator also flips the RR-graph backend (~50% implicit), the
-# region-partitioned scheduler (~40% of net_parallel cases, mixed region
-# sizes) and — since the switch-technology registry refactor — the
-# switch-block pattern (~55% Wilton, the rest split across subset /
-# universal / custom with rotations 0..W+1 to hit the degenerate and
-# modulo-folded corners), so every campaign differential-tests the
-# coordinate-computed graph, the partition router and the parameterized
-# sb_turn_track machinery against the stored-adjacency oracle. The
+# The generator also flips the RR-graph backend (~50% implicit) and —
+# since the switch-technology registry refactor — the switch-block
+# pattern (~55% Wilton, the rest split across subset / universal /
+# custom with rotations 0..W+1 to hit the degenerate and modulo-folded
+# corners), so every campaign differential-tests the coordinate-computed
+# graph and the parameterized sb_turn_track machinery against the
+# stored-adjacency oracle. The
 # flow-cache stage additionally pins the backend x sb_pattern artifact
 # key space: combinations share one cache and must never alias.
 #
@@ -100,7 +98,7 @@ ROUTE_CASES=$((ITERS / 100))
 [ "$ROUTE_CASES" -ge 50 ] || ROUTE_CASES=50
 echo "run_fuzz.sh: $ROUTE_BIN (NF_PROP_CASES=$ROUTE_CASES" \
      "NF_PROP_SEED=$SEED NF_PROP_IMPLICIT=$NF_PROP_IMPLICIT," \
-     "astar_factor randomized in [0, 1.2], rr_backend/partition_parallel," \
+     "astar_factor randomized in [0.9, 1.2], rr_backend, net_parallel," \
      "sb_pattern (wilton/subset/universal/custom) and" \
      "timing_driven/criticality_exp/max_criticality randomized)"
 NF_PROP_CASES="$ROUTE_CASES" NF_PROP_SEED="$SEED" "$ROUTE_BIN"
@@ -114,8 +112,7 @@ else
   [ "$PLACE_CASES" -ge 30 ] || PLACE_CASES=30
   echo "run_fuzz.sh: $PLACE_BIN (NF_PROP_CASES=$PLACE_CASES" \
        "NF_PROP_SEED=$SEED, randomized move sequences vs full-rescan" \
-       "oracle; batch_moves/directed/timing knobs and 1/2/8-thread" \
-       "bit-identity randomized per case)"
+       "oracle; directed/timing knobs randomized per case)"
   NF_PROP_CASES="$PLACE_CASES" NF_PROP_SEED="$SEED" "$PLACE_BIN"
 fi
 
