@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 
 #include "netlist/mcnc.hpp"
@@ -59,6 +60,11 @@ constexpr TimingGolden kTimingGolden[] = {
     {"tseng", 48, 45, 0.97},
     {"ex5p", 48, 45, 0.97},
 };
+
+/// gtest's default printer dumps the struct's bytes, which include the
+/// address of `circuit` and so change from run to run under ASLR; print
+/// the circuit so the listed test names are stable.
+void PrintTo(const TimingGolden& g, std::ostream* os) { *os << g.circuit; }
 
 class RouteTiming : public ::testing::TestWithParam<TimingGolden> {};
 

@@ -3,6 +3,9 @@
 // combinational-only, register-heavy, IO-heavy and deep/narrow circuits.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "core/study.hpp"
 #include "netlist/synth_gen.hpp"
 
@@ -17,6 +20,11 @@ struct Shape {
   std::size_t latches;
   double locality;
 };
+
+/// gtest's default printer dumps the struct's bytes, which include the
+/// address of `name` and so change from run to run under ASLR; print the
+/// shape name so the listed test names are stable.
+void PrintTo(const Shape& sh, std::ostream* os) { *os << sh.name; }
 
 class StudyShapeSweep : public ::testing::TestWithParam<Shape> {};
 
