@@ -298,7 +298,9 @@ int main(int argc, char** argv) {
   bool w_set = false;
   std::size_t threads = 0;  // 0 = keep the ambient NF_THREADS pool
   g_opt.arch.W = 64;        // generous session width: edits stay routable
-  g_opt.place.inner_num = 0.3;  // the flow's default effort
+  // The harness's own quick placement effort, well under the flow's
+  // default (PlaceOptions{}); kept at 0.3 so its outputs stay comparable.
+  g_opt.place.inner_num = 0.3;
   const FlagParser fp("eco_perf", argc, argv);
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--out")) {
@@ -309,7 +311,7 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--scale")) {
       scale = true;
     } else if (!std::strcmp(argv[i], "--threads")) {
-      threads = fp.parse_size_flag("--threads", i);
+      threads = fp.parse_size_flag("--threads", i, 0, kMaxThreads);
     } else if (!std::strcmp(argv[i], "--edits")) {
       g_edits = fp.parse_size_flag("--edits", i);
       edits_set = true;

@@ -48,6 +48,7 @@
 #include "service/flow_artifacts.hpp"
 #include "service/job_scheduler.hpp"
 #include "util/flags.hpp"
+#include "util/thread_pool.hpp"
 
 using namespace nemfpga;
 
@@ -263,7 +264,7 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--jobs")) {
       cfg.jobs = fp.parse_size_flag("--jobs", i);
     } else if (!std::strcmp(argv[i], "--threads")) {
-      cfg.threads = fp.parse_size_flag("--threads", i);
+      cfg.threads = fp.parse_size_flag("--threads", i, 0, kMaxThreads);
     } else if (!std::strcmp(argv[i], "--benchmark")) {
       cfg.benchmark = fp.flag_operand("--benchmark", i);
       cfg.synth_luts = 0;

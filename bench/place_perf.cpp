@@ -231,7 +231,9 @@ int main(int argc, char** argv) {
   std::vector<std::string> circuits = {"tseng", "alu4", "pdc"};
   bool scale = false;
   std::size_t threads = 0;  // 0 = keep the ambient NF_THREADS pool
-  g_popt.inner_num = 0.3;   // the flow's default effort
+  // The harness's own quick effort, well under the flow's default
+  // (PlaceOptions{}); kept at 0.3 so its outputs stay comparable.
+  g_popt.inner_num = 0.3;
   const FlagParser fp("place_perf", argc, argv);
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--out")) {
@@ -241,7 +243,7 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--scale")) {
       scale = true;
     } else if (!std::strcmp(argv[i], "--threads")) {
-      threads = fp.parse_size_flag("--threads", i);
+      threads = fp.parse_size_flag("--threads", i, 0, kMaxThreads);
     } else if (!std::strcmp(argv[i], "--directed")) {
       g_popt.directed_moves = fp.parse_bool_flag("--directed", i);
     } else if (!std::strcmp(argv[i], "--timing")) {

@@ -319,7 +319,7 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--scale")) {
       scale = true;
     } else if (!std::strcmp(argv[i], "--threads")) {
-      threads = fp.parse_size_flag("--threads", i);
+      threads = fp.parse_size_flag("--threads", i, 0, kMaxThreads);
     } else if (!std::strcmp(argv[i], "--astar")) {
       const char* tok = fp.flag_operand("--astar", i);
       g_route_opt.astar_factor = fp.double_value("--astar", tok);

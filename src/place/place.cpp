@@ -719,6 +719,9 @@ struct Annealer {
                           std::pow(static_cast<double>(n_blocks), 4.0 / 3.0)));
     double t = t_start;
     double range = static_cast<double>(std::max(nx, ny));
+    // Exit temperature from the cost at anneal entry, not VPR's live
+    // cost: the live rule runs a few more cold temperatures and bought
+    // no measurable QoR (EXPERIMENTS.md, "Anneal schedule").
     const double exit_t =
         0.005 * model.total_cost() /
         static_cast<double>(std::max<std::size_t>(nets.size(), 1));
@@ -740,9 +743,14 @@ struct Annealer {
     }
   }
 
-  /// Initial temperature: 20x the std-dev of random-move deltas [Betz 99].
-  /// Always probes with the uniform generator, so it is seed-identical
-  /// whether or not directed moves are on.
+  /// Initial temperature: the std-dev of random-move deltas. [Betz 99]
+  /// starts at 20x that, where nearly every move is accepted: the first
+  /// 12-17 temperatures then accept over 80% of the moves, 12-16% of the
+  /// budget, and leave the cost a little better on some circuits and
+  /// worse on others (EXPERIMENTS.md, "Anneal schedule"). At 1x the first
+  /// temperature accepts about 75-80%, the top of the band where the
+  /// anneal does its work. Always probes with the uniform generator, so
+  /// it is seed-identical whether or not directed moves are on.
   double probe_temperature() {
     const std::size_t n_blocks = pack.blocks.size();
     double sum = 0.0, sum2 = 0.0;
@@ -756,7 +764,7 @@ struct Annealer {
     }
     const double mean = sum / static_cast<double>(probes);
     const double var = sum2 / static_cast<double>(probes) - mean * mean;
-    return 20.0 * std::sqrt(std::max(var, 1e-12));
+    return std::sqrt(std::max(var, 1e-12));
   }
 
   void run(const Netlist& nl) {

@@ -64,8 +64,14 @@ struct Placement {
   PlaceCounters counters;
 };
 
+/// The default schedule: inner_num 1.15, a start temperature of one
+/// std-dev of random-move deltas, and an exit temperature taken from the
+/// cost at anneal entry; in between, VPR's adaptive alpha and range
+/// limiter. It proposes about half the moves of VPR's inner_num 2.0 and
+/// 20-std-dev start, for a bounding-box cost about 1% higher
+/// (EXPERIMENTS.md, "Anneal schedule").
 struct PlaceOptions {
-  double inner_num = 2.0;   ///< Moves per temperature ~ inner_num * n^(4/3).
+  double inner_num = 1.15;  ///< Moves per temperature ~ inner_num * n^(4/3).
   std::uint64_t seed = 1;
   /// Timing-driven mode (VPR-style): after the wirelength anneal, net
   /// criticalities are estimated from a placement-based delay model and a

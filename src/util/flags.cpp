@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 namespace nemfpga {
 
@@ -60,6 +61,15 @@ double FlagParser::double_value(const char* flag, std::string_view tok) const {
 
 std::size_t FlagParser::parse_size_flag(const char* flag, int& i) const {
   return size_value(flag, flag_operand(flag, i));
+}
+
+std::size_t FlagParser::parse_size_flag(const char* flag, int& i,
+                                        std::size_t lo, std::size_t hi) const {
+  const char* tok = flag_operand(flag, i);
+  const std::size_t v = size_value(flag, tok);
+  if (v < lo) flag_error(flag, tok, " (at least " + std::to_string(lo) + ")");
+  if (v > hi) flag_error(flag, tok, " (at most " + std::to_string(hi) + ")");
+  return v;
 }
 
 double FlagParser::parse_double_flag(const char* flag, int& i) const {

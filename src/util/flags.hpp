@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -46,6 +47,12 @@ class FlagParser {
   std::size_t parse_size_flag(const char* flag, int& i) const;
   double parse_double_flag(const char* flag, int& i) const;
   bool parse_bool_flag(const char* flag, int& i) const;
+
+  /// parse_size_flag limited to [lo, hi]: an operand outside the range
+  /// exits 2 at parse time with the bound in the message, before the
+  /// value can fail deep in a flow or size a thread pool.
+  std::size_t parse_size_flag(const char* flag, int& i, std::size_t lo,
+                              std::size_t hi = SIZE_MAX) const;
 
  private:
   const char* prog_;

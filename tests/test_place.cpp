@@ -4,6 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "arch/rr_graph.hpp"
+#include "netlist/mcnc.hpp"
 #include "netlist/synth_gen.hpp"
 #include "pack/pack.hpp"
 #include "place/place.hpp"
@@ -29,6 +31,18 @@ struct Fixture {
     pk = pack_netlist(nl, arch);
   }
 };
+
+/// FNV-1a over every block's (x, y, sub).
+std::uint64_t loc_checksum(const Placement& pl) {
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&](std::uint64_t v) { h = (h ^ v) * 1099511628211ull; };
+  for (const auto& l : pl.locs) {
+    mix(l.x);
+    mix(l.y);
+    mix(l.sub);
+  }
+  return h;
+}
 
 TEST(PlacedNets, ExtractionSkipsAbsorbedNets) {
   Fixture f;
@@ -137,7 +151,8 @@ TEST(Place, TimingDrivenModeProducesLegalPlacement) {
 // placement_net_criticality utility (src/place/place.hpp), consumed by
 // both the annealer and the incremental STA's iteration-1 seed; this
 // checksum was captured on the pre-refactor annealer-private code, so it
-// proves the extraction changed nothing.
+// proved the extraction changed nothing; it was re-captured only when the
+// default anneal schedule changed.
 TEST(Place, TimingDrivenGoldenChecksum) {
   Fixture f(300, "place-td-golden");
   PlaceOptions td;
@@ -145,14 +160,7 @@ TEST(Place, TimingDrivenGoldenChecksum) {
   td.seed = 7;
   const auto pl = place(f.nl, f.pk, f.arch, 7, 7, td);
   check_placement(f.pk, f.arch, pl);
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&](std::uint64_t v) { h = (h ^ v) * 1099511628211ull; };
-  for (const auto& l : pl.locs) {
-    mix(l.x);
-    mix(l.y);
-    mix(l.sub);
-  }
-  EXPECT_EQ(h, 1506985621632584956ull);
+  EXPECT_EQ(loc_checksum(pl), 588450716459071300ull);
 }
 
 TEST(Place, TimingDrivenRefinesWirelengthPlacement) {
@@ -206,6 +214,31 @@ TEST(Place, DirectedMovesAreLegalAndDeterministic) {
     EXPECT_EQ(a.locs[i].x, b.locs[i].x);
     EXPECT_EQ(a.locs[i].y, b.locs[i].y);
     EXPECT_EQ(a.locs[i].sub, b.locs[i].sub);
+  }
+}
+
+// The default schedule (PlaceOptions{}) as run_flow runs it on tseng: the
+// move counters, the final cost and a checksum of every location. The
+// router goldens all set their own inner_num, so without this pin a
+// change to the default budget, start temperature or exit rule would
+// show only through flow-level figures. The annealer is serial, so the
+// pool size must not matter.
+TEST(Place, DefaultScheduleGolden) {
+  const Netlist nl = generate_benchmark("tseng");
+  const ArchParams arch;
+  const Packing pk = pack_netlist(nl, arch);
+  const auto [nx, ny] =
+      grid_size_for(arch, pk.clusters.size(), pk.io_block_count());
+  for (const std::size_t threads : {1u, 4u}) {
+    ThreadPool pool(threads);
+    ThreadPool::ScopedUse use(pool);
+    const Placement pl = place(nl, pk, arch, nx, ny);
+    check_placement(pk, arch, pl);
+    SCOPED_TRACE(threads);
+    EXPECT_EQ(pl.counters.proposed, 210575u);
+    EXPECT_EQ(pl.counters.accepted, 80305u);
+    EXPECT_EQ(pl.final_cost, 5743.4303000001246);
+    EXPECT_EQ(loc_checksum(pl), 17556513146416076925ull);
   }
 }
 

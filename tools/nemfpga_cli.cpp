@@ -79,7 +79,8 @@ struct Args {
                "  --blif FILE        read a mapped BLIF netlist\n"
                "  --synth N          generate an N-LUT synthetic circuit\n"
                "  --inputs N --outputs N --latches N   synth parameters\n"
-               "  --width W          channel width (default 118)\n"
+               "                     (--synth and --inputs at least 1)\n"
+               "  --width W          channel width (default 118, at least 2)\n"
                "  --timing           timing-driven routing (incremental STA\n"
                "                     criticalities blend into the PathFinder\n"
                "                     cost; delays from --variant's view)\n"
@@ -120,11 +121,11 @@ Args parse(int argc, char** argv) {
     const char* f = flag.c_str();
     if (flag == "--benchmark") a.benchmark = fp.flag_operand(f, i);
     else if (flag == "--blif") a.blif = fp.flag_operand(f, i);
-    else if (flag == "--synth") a.synth_luts = fp.parse_size_flag(f, i);
-    else if (flag == "--inputs") a.inputs = fp.parse_size_flag(f, i);
+    else if (flag == "--synth") a.synth_luts = fp.parse_size_flag(f, i, 1);
+    else if (flag == "--inputs") a.inputs = fp.parse_size_flag(f, i, 1);
     else if (flag == "--outputs") a.outputs = fp.parse_size_flag(f, i);
     else if (flag == "--latches") a.latches = fp.parse_size_flag(f, i);
-    else if (flag == "--width") a.width = fp.parse_size_flag(f, i);
+    else if (flag == "--width") a.width = fp.parse_size_flag(f, i, 2);
     else if (flag == "--variant" || flag == "--backend") {
       a.variant = fp.flag_operand(f, i);
     } else if (flag == "--sb-pattern") a.sb_pattern = fp.flag_operand(f, i);
@@ -136,12 +137,7 @@ Args parse(int argc, char** argv) {
     else if (flag == "--edit-seed") a.edit_seed = fp.parse_size_flag(f, i);
     else if (flag == "--port") a.port = fp.parse_size_flag(f, i);
     else if (flag == "--threads") {
-      const char* tok = fp.flag_operand(f, i);
-      a.threads = fp.size_value(f, tok);
-      if (a.threads > kMaxThreads) {
-        fp.flag_error(f, tok, " (at most " + std::to_string(kMaxThreads) +
-                                  " workers)");
-      }
+      a.threads = fp.parse_size_flag(f, i, 0, kMaxThreads);
     } else if (flag == "--cache-mb") a.cache_mb = fp.parse_size_flag(f, i);
     else if (flag == "--study") a.study = true;
     else if (flag == "--activity") a.activity = true;
