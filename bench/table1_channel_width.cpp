@@ -7,8 +7,9 @@
 // Wmin search costs ~8 routings per circuit, so the default run uses a
 // representative subset; set NF_FULL=1 for the entire MCNC-20 suite.
 // Circuits run concurrently on the NF_THREADS pool (each flow is
-// share-nothing), and the per-circuit Wmin probes themselves are
-// speculated in parallel when circuit-level parallelism is idle.
+// share-nothing); inside that loop each search probes one width at a time
+// (nested parallel calls run serially). The warm-start search on the
+// smallest circuit runs alone first and keeps every thread probing.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -14,6 +13,7 @@
 
 #include "arch/lookahead.hpp"
 #include "route/overuse.hpp"
+#include "route/width_search.hpp"
 #include "util/thread_pool.hpp"
 #include "verify/check.hpp"
 
@@ -582,15 +582,6 @@ struct Router {
         if (found != ref_found ||
             (found && sc.relax[target].path_cost > ref_cost + 1e-9)) {
           ++sc.cnt.lookahead_suboptimal;
-          if (std::getenv("NF_LA_DEBUG")) {
-            const HotNode& tn = hot[target];
-            std::fprintf(stderr,
-                         "LA subopt: target=%u at (%u,%u) astar=%.9f "
-                         "dijkstra=%.9f\n",
-                         target, tn.x_lo, tn.y_lo,
-                         found ? sc.relax[target].path_cost : -1.0,
-                         ref_found ? ref_cost : -1.0);
-          }
         }
       } else {
         found = search_sink(sc, target, x_lo, x_hi, y_lo, y_hi, true, crit);
@@ -879,6 +870,10 @@ RoutingResult route_session(const RrGraphView& g, const Placement& pl,
   }
 
   for (std::size_t iter = 1; iter <= opt.max_iterations; ++iter) {
+    if (opt.stop != nullptr && opt.stop->load(std::memory_order_relaxed)) {
+      res.stopped = true;
+      break;
+    }
     res.iterations = iter;
     if (timing_on) {
       const double ts = wall_s();
@@ -1018,17 +1013,6 @@ RoutingResult route_session(const RrGraphView& g, const Placement& pl,
 
     router.cnt.t_search_s += wall_s() - t0;
     res.overused_nodes = router.occ.overused_count();
-    if (std::getenv("NF_ROUTE_DEBUG")) {
-      std::fprintf(stderr, "iter %zu overused=%zu pres=%g\n", iter,
-                   res.overused_nodes, router.pres_fac);
-      for (RrNodeId i = 0; i < g.node_count(); ++i) {
-        if (router.occ.overused(i)) {
-          std::fprintf(stderr, "  node %u type=%d occ=%d cap=%d\n", i,
-                       static_cast<int>(g.node(i).type), router.occ.occ(i),
-                       router.occ.capacity(i));
-        }
-      }
-    }
     if (res.overused_nodes == 0) {
       res.success = true;
       break;
@@ -1187,11 +1171,10 @@ ChannelWidthResult find_min_channel_width(const ArchParams& arch,
                                           std::size_t w_hint,
                                           const RouteOptions& opt) {
   // Each probe builds its own RrGraph and Router state, so probes are
-  // share-nothing and run concurrently. The probe schedule is a fixed
-  // kFanout-way speculation that depends only on the search state, never
-  // on the thread count, so the returned Wmin is identical at any
-  // NF_THREADS setting — parallelism only accelerates the probes.
-  constexpr std::size_t kFanout = 4;
+  // share-nothing and run concurrently. run_width_search decides from the
+  // same widths whichever probes finish first, so the returned Wmin is
+  // identical at any NF_THREADS setting — parallelism only accelerates
+  // the search.
   require_valid_astar_factor(opt.astar_factor);
   const std::size_t w_cap = std::max<std::size_t>(4, opt.max_channel_width);
 
@@ -1201,14 +1184,14 @@ ChannelWidthResult find_min_channel_width(const ArchParams& arch,
   // the construction inside each route_all call.
   RouteOptions probe_opt = opt;
   // Probes route with the serial per-net scheduler even when the caller
-  // asked for net_parallel. The W-speculation above already saturates the
-  // pool, and route_all's nested parallel_for would run serially inside a
-  // concurrent probe anyway — so batching inside a probe buys zero
-  // parallelism while still paying its one cost: batch members route
-  // against a frozen occupancy snapshot and miss each other's usage,
-  // which on small fabrics can tip a borderline width from routable to
-  // not (observed as a +1 Wmin shift on tseng). Serial probes keep the
-  // width search at full negotiation quality; net-level parallelism still
+  // asked for net_parallel. Concurrent probes already saturate the pool,
+  // and route_all's nested parallel_for would run serially inside a
+  // probe anyway — so batching inside a probe buys zero parallelism
+  // while still paying its one cost: batch members route against a
+  // frozen occupancy snapshot and miss each other's usage, which on
+  // small fabrics can tip a borderline width from routable to not
+  // (observed as a +1 Wmin shift on tseng). Serial probes keep the width
+  // search at full negotiation quality; net-level parallelism still
   // applies to direct route_all calls, which is where the threads
   // actually reach it.
   probe_opt.net_parallel = false;
@@ -1228,101 +1211,40 @@ ChannelWidthResult find_min_channel_width(const ArchParams& arch,
     probe_opt.lookahead = std::make_shared<const RouteLookahead>(g);
   }
 
-  auto routes_at = [&](std::size_t w) {
+  const WidthProbe probe = [&](std::size_t w,
+                               const std::atomic<bool>& stop) {
+    RouteOptions o = probe_opt;
+    o.stop = &stop;
     ArchParams a = arch;
     a.W = std::max<std::size_t>(2, w);
-    if (probe_opt.rr_backend == RrBackend::kImplicit) {
-      const ImplicitRrGraph g(a, pl.nx, pl.ny);
-      return route_all(g, pl, probe_opt).success;
-    }
-    const RrGraph g(a, pl.nx, pl.ny);
-    return route_all(g, pl, probe_opt).success;
-  };
-  // The rounds below only ever consume probe results up to and including
-  // the first success — later entries are discarded. With idle threads it
-  // is still worth speculating on the whole round at once; on a serial
-  // pool, evaluate lazily in order and stop at the first success instead,
-  // which skips exactly the probes whose results the search would throw
-  // away. Both paths therefore feed the search identical decisions, so
-  // Wmin stays thread-count independent (pinned by the golden tests).
-  auto probe = [&](const std::vector<std::size_t>& ws) {
-    if (ThreadPool::current().thread_count() <= 1) {
-      std::vector<bool> ok(ws.size(), false);
-      for (std::size_t i = 0; i < ws.size(); ++i) {
-        ok[i] = routes_at(ws[i]);
-        if (ok[i]) break;
-      }
-      return ok;
-    }
-    return parallel_map(ws.size(),
-                        [&](std::size_t i) { return routes_at(ws[i]); });
-  };
-
-  // Grow phase: probe {w, 2w} per round until one routes; failed probes
-  // below the first success tighten the lower bound. Rounds are pairs —
-  // not kFanout-wide — because a doubled width quadruples the routing
-  // graph's memory footprint: speculating on 4w/8w builds enormous graphs
-  // whose construction cost and cache pressure dwarf the round-trips a
-  // wider round would save (measured on pdc: the 4-wide grow round made
-  // the 8-thread search slower than the serial one).
-  std::size_t lo = 2;
-  std::size_t hi = 0;
-  for (std::size_t w = std::max<std::size_t>(4, w_hint); hi == 0;) {
-    std::vector<std::size_t> ws;
-    // The hint is always probed, even when it exceeds the growth cap.
-    for (std::size_t j = 0; j < 2 && (ws.empty() || w <= w_cap);
-         ++j, w *= 2) {
-      ws.push_back(w);
-    }
-    const auto ok = probe(ws);
-    for (std::size_t i = 0; i < ws.size(); ++i) {
-      if (ok[i]) {
-        hi = ws[i];
-        break;
-      }
-      lo = ws[i] + 1;
-    }
-    if (hi == 0 && w > w_cap) {
-      // Saturated: no probe up to the cap routed. Report the explicit
-      // infeasible status instead of a garbage width — callers (run_flow,
-      // route_perf, bench_check.py) propagate it.
-      std::fprintf(stderr,
-                   "find_min_channel_width: grow phase hit the W cap "
-                   "(max_channel_width=%zu, last lower bound %zu) — design "
-                   "is unroutable at any modeled width\n",
-                   w_cap, lo);
-      ChannelWidthResult out;
-      out.feasible = false;
-      out.w_cap = w_cap;
-      return out;
-    }
-  }
-
-  // Shrink phase: k-ary search with kFanout evenly spaced probes per
-  // round (invariant: hi routes, everything below lo does not).
-  while (lo < hi) {
-    const std::size_t span = hi - lo;
-    std::vector<std::size_t> ws;
-    if (span <= kFanout) {
-      for (std::size_t w = lo; w < hi; ++w) ws.push_back(w);
+    RoutingResult r;
+    if (o.rr_backend == RrBackend::kImplicit) {
+      r = route_all(ImplicitRrGraph(a, pl.nx, pl.ny), pl, o);
     } else {
-      for (std::size_t j = 0; j < kFanout; ++j) {
-        ws.push_back(lo + span * (j + 1) / (kFanout + 1));
-      }
+      r = route_all(RrGraph(a, pl.nx, pl.ny), pl, o);
     }
-    const auto ok = probe(ws);
-    for (std::size_t i = 0; i < ws.size(); ++i) {
-      if (ok[i]) {
-        hi = ws[i];
-        break;
-      }
-      lo = ws[i] + 1;
-    }
-  }
+    if (r.stopped) return WidthVerdict::kUnknown;
+    return r.success ? WidthVerdict::kRoutes : WidthVerdict::kFails;
+  };
+  const WidthSearchOutcome found = run_width_search(w_hint, w_cap, probe);
+
   ChannelWidthResult out;
-  out.w_min = hi;
+  if (!found.feasible) {
+    // Saturated: no probe up to the cap routed. Report the explicit
+    // infeasible status instead of a garbage width — callers (run_flow,
+    // route_perf, bench_check.py) propagate it.
+    std::fprintf(stderr,
+                 "find_min_channel_width: grow phase hit the W cap "
+                 "(max_channel_width=%zu, last lower bound %zu) — design "
+                 "is unroutable at any modeled width\n",
+                 w_cap, found.lo);
+    out.feasible = false;
+    out.w_cap = w_cap;
+    return out;
+  }
+  out.w_min = found.w_min;
   std::size_t w = static_cast<std::size_t>(
-      std::ceil(1.2 * static_cast<double>(hi)));
+      std::ceil(1.2 * static_cast<double>(found.w_min)));
   if (w % 2) ++w;  // even track counts keep INC/DEC pairs balanced
   out.w_low_stress = w;
   return out;

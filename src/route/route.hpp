@@ -6,6 +6,7 @@
 // topologies.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -155,6 +156,14 @@ struct RouteOptions {
   /// reports infeasible (ChannelWidthResult::feasible == false) instead
   /// of probing beyond this.
   std::size_t max_channel_width = 1024;
+  /// Cooperative stop token (borrowed; null = never stop). route_all and
+  /// route_incremental read it at the top of every PathFinder iteration;
+  /// once it is raised they return at once with success == false and
+  /// RoutingResult::stopped == true — an abandoned run, not a verdict on
+  /// routability. find_min_channel_width ignores the caller's token and
+  /// gives each width probe its own, which it raises to cancel the probes
+  /// its search no longer needs.
+  const std::atomic<bool>* stop = nullptr;
 };
 
 /// Always-on router work counters (see bench/route_perf.cpp and the
@@ -217,6 +226,9 @@ struct RouteCounters {
 
 struct RoutingResult {
   bool success = false;
+  /// The run saw RouteOptions::stop raised and gave up (success is false
+  /// then). Says nothing about whether the design routes.
+  bool stopped = false;
   std::size_t iterations = 0;
   std::vector<RouteTree> trees;  ///< Parallel to Placement::nets.
   std::size_t overused_nodes = 0;
@@ -270,10 +282,13 @@ void check_routing(const RrGraphView& g, const Placement& pl,
 
 /// Search the minimum channel width Wmin for which routing succeeds, then
 /// report W = ceil(1.2 * Wmin) rounded up to even ("low-stress routing"
-/// [Betz 99b], Sec 3.3 of the paper). Candidate widths are probed as
-/// fixed 4-way speculative batches on ThreadPool::current() (each probe
-/// owns its RR graph + router state); the probe schedule is independent of
-/// the thread count, so Wmin is reproducible at any NF_THREADS setting.
+/// [Betz 99b], Sec 3.3 of the paper). The k-ary search rule and its
+/// probe scheduler live in route/width_search.hpp: every thread of
+/// ThreadPool::current() probes a width the rule needs now or may need
+/// within three rounds (each probe owns its RR graph + router state), and
+/// probes the rule no longer needs are stopped. The rule consumes the
+/// same widths whichever probes finish first, so Wmin is identical at any
+/// NF_THREADS setting.
 struct ChannelWidthResult {
   std::size_t w_min = 0;
   std::size_t w_low_stress = 0;  ///< 1.2 x Wmin, even.

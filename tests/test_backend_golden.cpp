@@ -10,6 +10,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <ostream>
 #include <string>
 
 #include "core/flow.hpp"
@@ -44,6 +45,11 @@ struct Golden {
   std::size_t iterations;       ///< PathFinder iterations.
   std::uint64_t critical_bits;  ///< bit_cast<uint64_t>(critical_path_s).
 };
+
+/// gtest's default printer dumps the struct's bytes, which include the
+/// address of `backend` and so change from run to run under ASLR; print
+/// the backend so the listed test names are stable.
+void PrintTo(const Golden& g, std::ostream* os) { *os << g.backend; }
 
 // See the file header for where these come from.
 constexpr Golden kGolden[] = {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -148,6 +149,41 @@ TEST(Route, DeterministicResult) {
   for (std::size_t n = 0; n < r1.trees.size(); ++n) {
     EXPECT_EQ(r1.trees[n].edges, r2.trees[n].edges);
   }
+}
+
+TEST(Route, StopTokenRaisedBeforeTheCallStopsAtOnce) {
+  Flow f(100, 40, "route-stop");
+  const RrGraph g(f.arch, f.pl.nx, f.pl.ny);
+  const RoutingResult plain = route_all(g, f.pl);
+  ASSERT_TRUE(plain.success);
+  EXPECT_FALSE(plain.stopped);
+
+  // A lowered token changes nothing.
+  const std::atomic<bool> lowered{false};
+  RouteOptions opt;
+  opt.stop = &lowered;
+  const RoutingResult same = route_all(g, f.pl, opt);
+  EXPECT_TRUE(same.success);
+  EXPECT_FALSE(same.stopped);
+  EXPECT_EQ(same.iterations, plain.iterations);
+  for (std::size_t n = 0; n < plain.trees.size(); ++n) {
+    EXPECT_EQ(same.trees[n].edges, plain.trees[n].edges);
+  }
+
+  // A raised one stops both entry points before any routing: a stopped
+  // run is never reported as routed.
+  const std::atomic<bool> raised{true};
+  opt.stop = &raised;
+  const RoutingResult r = route_all(g, f.pl, opt);
+  EXPECT_TRUE(r.stopped);
+  EXPECT_FALSE(r.success);
+  EXPECT_LE(r.iterations, 1u);
+  std::vector<RouteTree> base = plain.trees;
+  base[0] = RouteTree{};
+  const RoutingResult ri = route_incremental(g, f.pl, base, opt);
+  EXPECT_TRUE(ri.stopped);
+  EXPECT_FALSE(ri.success);
+  EXPECT_LE(ri.iterations, 1u);
 }
 
 TEST(OveruseTracker, IncDecMaintainsExactCountAndFlags) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 
 #include "netlist/mcnc.hpp"
 #include "pack/pack.hpp"
@@ -43,6 +44,11 @@ struct Golden {
   std::size_t iterations;     ///< PathFinder iterations at w_fixed.
   std::size_t w_min;          ///< find_min_channel_width (hint 32).
 };
+
+/// gtest's default printer dumps the struct's bytes, which include the
+/// address of `circuit` and so change from run to run under ASLR; print
+/// the circuit so the listed test names are stable.
+void PrintTo(const Golden& g, std::ostream* os) { *os << g.circuit; }
 
 // Captured from the A*-lookahead net-parallel router, on placements from
 // the annealer's default start temperature (every placement moves with
