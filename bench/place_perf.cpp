@@ -1,12 +1,11 @@
-// Placer performance harness: anneals seed circuits under a chosen move
-// discipline and emits BENCH_place.json (wall time, move throughput and
-// work counters, final costs, a placement checksum and the post-route
-// critical path at a fixed channel width) so every PR leaves a placer
-// perf trajectory to regress against (tools/bench_check.py diffs two
-// such files).
+// Placer performance harness: anneals seed circuits and emits
+// BENCH_place.json (wall time, move throughput and work counters, final
+// costs, a placement checksum and the post-route critical path at a
+// fixed channel width) so every PR leaves a placer perf trajectory to
+// regress against (tools/bench_check.py diffs two such files).
 //
 //   place_perf [--out FILE] [--circuits a,b,c] [--smoke] [--scale]
-//              [--threads N] [--directed 0|1] [--timing]
+//              [--threads N] [--timing]
 //              [--inner-num F] [--seed N] [--w N] [--no-route]
 //
 // --smoke runs only the smallest seed circuit (CTest target
@@ -155,8 +154,6 @@ void write_json(const std::vector<CircuitReport>& reps, const char* path) {
   // anneal trajectory (deterministically). threads does NOT join it — it
   // is a bit-identity claim, and cross-thread diffs are exactly how that
   // claim is audited.
-  std::fprintf(f, "  \"directed\": %s,\n",
-               g_popt.directed_moves ? "true" : "false");
   std::fprintf(f, "  \"timing_driven\": %s,\n",
                g_popt.timing_driven ? "true" : "false");
   std::fprintf(f, "  \"inner_num\": %.6f,\n", g_popt.inner_num);
@@ -188,8 +185,6 @@ void write_json(const std::vector<CircuitReport>& reps, const char* path) {
                  static_cast<unsigned long long>(c.accepted));
     std::fprintf(f, "      \"rescans\": %llu,\n",
                  static_cast<unsigned long long>(c.rescans));
-    std::fprintf(f, "      \"directed_moves\": %llu,\n",
-                 static_cast<unsigned long long>(c.directed));
     // %.17g so a diff of two runs compares the costs bitwise.
     std::fprintf(f, "      \"final_cost\": %.17g,\n", r.final_cost);
     std::fprintf(f, "      \"final_weighted_cost\": %.17g,\n",
@@ -244,8 +239,6 @@ int main(int argc, char** argv) {
       scale = true;
     } else if (!std::strcmp(argv[i], "--threads")) {
       threads = fp.parse_size_flag("--threads", i, 0, kMaxThreads);
-    } else if (!std::strcmp(argv[i], "--directed")) {
-      g_popt.directed_moves = fp.parse_bool_flag("--directed", i);
     } else if (!std::strcmp(argv[i], "--timing")) {
       g_popt.timing_driven = true;
     } else if (!std::strcmp(argv[i], "--inner-num")) {
@@ -268,9 +261,8 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: place_perf [--out FILE] [--circuits a,b,c] "
-                   "[--smoke] [--scale] [--threads N] [--directed 0|1] "
-                   "[--timing] [--inner-num F] [--seed N] [--w N] "
-                   "[--no-route]\n");
+                   "[--smoke] [--scale] [--threads N] [--timing] "
+                   "[--inner-num F] [--seed N] [--w N] [--no-route]\n");
       return 2;
     }
   }
@@ -284,9 +276,8 @@ int main(int argc, char** argv) {
 
   std::printf(
       "place_perf — annealer hot-path benchmark (%zu threads, "
-      "directed=%d, timing=%d, inner_num=%.2f)\n\n",
+      "timing=%d, inner_num=%.2f)\n\n",
       ThreadPool::current().thread_count(),
-      static_cast<int>(g_popt.directed_moves),
       static_cast<int>(g_popt.timing_driven), g_popt.inner_num);
   std::vector<CircuitReport> reps;
   auto report = [&](const CircuitReport& r) {
@@ -299,10 +290,9 @@ int main(int argc, char** argv) {
             ? static_cast<double>(c.proposed) / r.place_wall_s
             : 0.0,
         r.final_cost, static_cast<unsigned long long>(r.checksum));
-    std::printf("         accepted=%llu rescans=%llu directed=%llu\n",
+    std::printf("         accepted=%llu rescans=%llu\n",
                 static_cast<unsigned long long>(c.accepted),
-                static_cast<unsigned long long>(c.rescans),
-                static_cast<unsigned long long>(c.directed));
+                static_cast<unsigned long long>(c.rescans));
     if (r.routed) {
       std::printf("         route@W=%zu critical_path=%.3f ns\n", r.route_w,
                   r.critical_path_s * 1e9);

@@ -6,10 +6,12 @@
 //
 // Wmin search costs ~8 routings per circuit, so the default run uses a
 // representative subset; set NF_FULL=1 for the entire MCNC-20 suite.
-// Circuits run concurrently on the NF_THREADS pool (each flow is
-// share-nothing); inside that loop each search probes one width at a time
-// (nested parallel calls run serially). The warm-start search on the
-// smallest circuit runs alone first and keeps every thread probing.
+// The warm-start search on the smallest circuit runs alone first. The
+// other small circuits then run concurrently on the NF_THREADS pool (each
+// flow is share-nothing; inside that loop a search probes one width at a
+// time, since nested parallel calls run serially). frisc and pdc, whose
+// searches take far longer, run after that loop, one at a time, each with
+// every thread probing.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -66,11 +68,18 @@ int main() {
     return flow_min_channel_width(generate_benchmark(name), opt, w_hint);
   };
   const auto first = search(names[smallest], 48);
-  const auto widths = parallel_map(names.size(), [&](std::size_t i) {
-    return i == smallest
-               ? first
-               : search(names[i], first.feasible ? first.w_min : 48);
+  const std::size_t hint = first.feasible ? first.w_min : 48;
+  auto big = [&](std::size_t i) {
+    return names[i] == "frisc" || names[i] == "pdc";
+  };
+  std::vector<ChannelWidthResult> widths(names.size());
+  const auto small = parallel_map(names.size(), [&](std::size_t i) {
+    if (i == smallest) return first;
+    return big(i) ? ChannelWidthResult{} : search(names[i], hint);
   });
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    widths[i] = big(i) ? search(names[i], hint) : small[i];
+  }
 
   TextTable t({"circuit", "4-LUTs", "Wmin", "1.2 x Wmin"});
   std::size_t w_need = 0;

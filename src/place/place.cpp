@@ -1,7 +1,6 @@
 #include "place/place.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstddef>
 #include <cstdio>
@@ -10,6 +9,7 @@
 #include <unordered_set>
 
 #include "timing/criticality.hpp"
+#include "util/thread_pool.hpp"
 
 #if defined(__GNUC__) || defined(__clang__)
 #define NF_ALWAYS_INLINE __attribute__((always_inline))
@@ -416,6 +416,10 @@ void NetCostModel::commit(const Pending& p) {
 
 namespace {
 
+/// Sites a split axis keeps beyond kAnnealRegionSide per region, so its
+/// cut lines can swing by at least two sites either way.
+constexpr std::size_t kCutSwing = 4;
+
 /// One proposed move and the undo log of its in-place evaluation.
 struct Proposal {
   std::size_t a = NetCostModel::kNoBlock;
@@ -423,37 +427,76 @@ struct Proposal {
   BlockLoc src, dest;
   bool is_logic = false;
   bool valid = false;  ///< Degenerate draws (same site / self swap) = false.
-  int gen = 0;         ///< 0 uniform, 1 weighted-centroid, 2 median-region.
   NetCostModel::Pending pending;
 };
+
+/// The part of the grid one sweep moves blocks in: a window of logic
+/// sites, the IO sites it owns, and the blocks that sat in it when the
+/// step began.
+struct Region {
+  std::size_t x_lo = 1, x_hi = 1, y_lo = 1, y_hi = 1;  ///< Inclusive.
+  std::vector<std::size_t> blocks;    ///< Ascending block index.
+  std::vector<std::size_t> io_sites;  ///< Indices into io_sites, clockwise.
+};
+
+/// The state a sweep mutates: its RNG stream, its view of every block's
+/// location, its box records and counters. The placement's own worker is
+/// the whole truth; a region's worker holds its own blocks live and every
+/// other block as it was at the last barrier.
+struct Worker {
+  Rng rng;
+  std::vector<BlockLoc> locs;
+  NetCostModel model;
+  PlaceCounters counters;
+  Proposal scratch;
+};
+
+/// First column (or row) of each region along an axis of n sites in
+/// step `step`, plus n + 1 as the end. The inner cuts all shift by one
+/// offset drawn from the step index, as far as keeps the two edge regions
+/// kAnnealRegionSide wide (the inner regions keep their width).
+std::vector<std::size_t> region_starts(std::size_t n, std::size_t step,
+                                       std::size_t axis) {
+  const std::size_t p = anneal_regions_per_axis(n);
+  std::vector<std::size_t> starts(p + 1);
+  for (std::size_t k = 0; k <= p; ++k) starts[k] = 1 + k * n / p;
+  if (p == 1) return starts;
+  const std::size_t below = starts[1] - 1 - kAnnealRegionSide;
+  const std::size_t above = n + 1 - starts[p - 1] - kAnnealRegionSide;
+  const std::size_t pick =
+      Rng(2 * step + axis).next_u64() % (below + above + 1);
+  for (std::size_t k = 1; k < p; ++k) starts[k] = starts[k] - below + pick;
+  return starts;
+}
+
+/// Index of the region whose [starts[k], starts[k+1]) holds v; sites
+/// outside the grid (IO) belong to the nearest region.
+std::size_t region_index(const std::vector<std::size_t>& starts,
+                         std::size_t v) {
+  const auto it = std::upper_bound(starts.begin() + 1, starts.end() - 1, v);
+  return static_cast<std::size_t>(it - (starts.begin() + 1));
+}
 
 struct Annealer {
   const Packing& pack;
   const ArchParams& arch;
   std::size_t nx, ny;
   PlaceOptions opt;
-  Rng rng;
+  std::size_t px, py;  ///< Regions per axis.
 
   std::vector<PlacedNet> nets;
-  NetCostModel model;
-  std::vector<BlockLoc> locs;
-  PlaceCounters counters;
+  Worker main;                   ///< The placement; runs one-region steps.
+  std::vector<Worker> workers;   ///< One per region when px * py > 1.
+  std::vector<Region> regions;
+  Region whole;                  ///< The grid as one region.
+  std::size_t steps = 0;         ///< Temperature steps run so far.
 
-  // Occupancy: logic grid and IO pad slots.
+  // Occupancy: logic grid and IO pad slots. A region writes only the
+  // sites it owns, so concurrent regions share these in place.
   std::vector<std::size_t> logic_at;            // (x-1) + (y-1)*nx -> block
   std::vector<std::vector<std::size_t>> io_at;  // io site -> slots
   std::vector<std::pair<std::size_t, std::size_t>> io_sites;  // (x, y)
   std::vector<std::size_t> io_site_index;  // keyed like site_key()
-
-  // Directed-move state: adaptive generator probabilities (uniform,
-  // centroid, median), per-temperature accept stats, and the
-  // criticality-biased target blocks of the timing phase.
-  std::array<double, 3> gen_weight{1.0, 0.0, 0.0};
-  std::array<std::uint64_t, 3> gen_tried{}, gen_acc{};
-  std::vector<std::size_t> crit_blocks;
-  bool timing_phase = false;
-
-  Proposal scratch;
 
   static constexpr std::size_t kEmpty = static_cast<std::size_t>(-1);
 
@@ -465,10 +508,27 @@ struct Annealer {
         nx(nx_),
         ny(ny_),
         opt(o),
-        rng(o.seed),
+        px(anneal_regions_per_axis(nx_)),
+        py(anneal_regions_per_axis(ny_)),
         nets(std::move(nets_in)),
-        model(&nets, p.blocks.size()) {
-    if (opt.directed_moves) gen_weight = {0.5, 0.25, 0.25};
+        main{Rng(o.seed), {}, NetCostModel(&nets, p.blocks.size()), {}, {}} {
+    // Enumerate IO sites clockwise.
+    for (std::size_t x = 1; x <= nx; ++x) io_sites.push_back({x, 0});
+    for (std::size_t y = 1; y <= ny; ++y) io_sites.push_back({nx + 1, y});
+    for (std::size_t x = 1; x <= nx; ++x) io_sites.push_back({x, ny + 1});
+    for (std::size_t y = 1; y <= ny; ++y) io_sites.push_back({0, y});
+    io_site_index.assign((nx + 2) * (ny + 2), kEmpty);
+    for (std::size_t s = 0; s < io_sites.size(); ++s) {
+      io_site_index[site_key(io_sites[s].first, io_sites[s].second)] = s;
+    }
+    whole.x_hi = nx;
+    whole.y_hi = ny;
+    for (std::size_t b = 0; b < pack.blocks.size(); ++b) {
+      whole.blocks.push_back(b);
+    }
+    for (std::size_t s = 0; s < io_sites.size(); ++s) {
+      whole.io_sites.push_back(s);
+    }
   }
 
   std::size_t site_key(std::size_t x, std::size_t y) const {
@@ -476,29 +536,14 @@ struct Annealer {
   }
 
   void initial_place() {
-    logic_at.assign(nx * ny, kEmpty);
-    // Enumerate IO sites clockwise.
-    for (std::size_t x = 1; x <= nx; ++x) io_sites.push_back({x, 0});
-    for (std::size_t y = 1; y <= ny; ++y) io_sites.push_back({nx + 1, y});
-    for (std::size_t x = 1; x <= nx; ++x) io_sites.push_back({x, ny + 1});
-    for (std::size_t y = 1; y <= ny; ++y) io_sites.push_back({0, y});
-    io_at.assign(io_sites.size(),
-                 std::vector<std::size_t>(arch.io_per_pad, kEmpty));
-    io_site_index.assign((nx + 2) * (ny + 2), kEmpty);
-    for (std::size_t s = 0; s < io_sites.size(); ++s) {
-      io_site_index[site_key(io_sites[s].first, io_sites[s].second)] = s;
-    }
-
+    std::vector<BlockLoc>& locs = main.locs;
     locs.resize(pack.blocks.size());
     std::size_t next_logic = 0;
     std::size_t next_io = 0;
     for (std::size_t b = 0; b < pack.blocks.size(); ++b) {
       if (pack.blocks[b].type == PackedType::kLogic) {
         if (next_logic >= nx * ny) throw std::invalid_argument("grid too small");
-        const std::size_t x = next_logic % nx + 1;
-        const std::size_t y = next_logic / nx + 1;
-        locs[b] = {x, y, 0};
-        logic_at[(x - 1) + (y - 1) * nx] = b;
+        locs[b] = {next_logic % nx + 1, next_logic / nx + 1, 0};
         ++next_logic;
       } else {
         const std::size_t site = next_io / arch.io_per_pad;
@@ -507,8 +552,23 @@ struct Annealer {
           throw std::invalid_argument("not enough IO pad slots");
         }
         locs[b] = {io_sites[site].first, io_sites[site].second, sub};
-        io_at[site][sub] = b;
         ++next_io;
+      }
+    }
+    occupy();
+  }
+
+  /// Fill the occupancy maps from main.locs.
+  void occupy() {
+    logic_at.assign(nx * ny, kEmpty);
+    io_at.assign(io_sites.size(),
+                 std::vector<std::size_t>(arch.io_per_pad, kEmpty));
+    for (std::size_t b = 0; b < pack.blocks.size(); ++b) {
+      const BlockLoc& l = main.locs[b];
+      if (pack.blocks[b].type == PackedType::kLogic) {
+        logic_at[(l.x - 1) + (l.y - 1) * nx] = b;
+      } else {
+        io_at[io_site_index[site_key(l.x, l.y)]][l.sub] = b;
       }
     }
   }
@@ -526,117 +586,38 @@ struct Annealer {
     }
   }
 
-  // ---- move generation --------------------------------------------------
+  // ---- moves ------------------------------------------------------------
 
-  /// Pick the move generator for this proposal. Draws nothing in the
-  /// default (uniform-only) configuration, keeping the seed RNG sequence.
-  int pick_generator(Rng& r, bool allow_directed) const {
-    if (!allow_directed) return 0;
-    const double u = r.uniform();
-    double acc = 0.0;
-    for (int g = 0; g < 2; ++g) {
-      acc += gen_weight[static_cast<std::size_t>(g)];
-      if (u < acc) return g;
-    }
-    return 2;
-  }
-
-  /// Pick the block to move. Timing-phase directed runs bias half the
-  /// picks toward blocks on (estimated) critical nets.
-  std::size_t pick_block(Rng& r, bool allow_directed) const {
-    if (allow_directed && timing_phase && !crit_blocks.empty() &&
-        r.uniform() < 0.5) {
-      return crit_blocks[r.uniform_int(crit_blocks.size())];
-    }
-    return r.uniform_int(pack.blocks.size());
-  }
-
-  /// Weighted centroid of the boxes of the nets touching `a` — the
-  /// natural wirelength-minimizing target for the block.
-  bool centroid_target(std::size_t a, std::size_t& tx, std::size_t& ty) const {
-    double wx = 0.0, wy = 0.0, wsum = 0.0;
-    for (std::size_t n : model.nets_of(a)) {
-      const NetCostModel::Box& b = model.box(n);
-      const double w = model.weight(n);
-      wx += w * 0.5 * (static_cast<double>(b.x_lo) + static_cast<double>(b.x_hi));
-      wy += w * 0.5 * (static_cast<double>(b.y_lo) + static_cast<double>(b.y_hi));
-      wsum += w;
-    }
-    if (wsum <= 0.0) return false;
-    tx = static_cast<std::size_t>(std::clamp<long long>(
-        std::llround(wx / wsum), 1, static_cast<long long>(nx)));
-    ty = static_cast<std::size_t>(std::clamp<long long>(
-        std::llround(wy / wsum), 1, static_cast<long long>(ny)));
-    return true;
-  }
-
-  /// Median of the bounding edges of the connected nets (VPR's "median
-  /// region" generator): robust to one far-away net dragging the target.
-  bool median_target(std::size_t a, std::size_t& tx, std::size_t& ty) const {
-    const auto& ns = model.nets_of(a);
-    if (ns.empty()) return false;
-    std::vector<std::uint32_t> xs, ys;
-    xs.reserve(2 * ns.size());
-    ys.reserve(2 * ns.size());
-    for (std::size_t n : ns) {
-      const NetCostModel::Box& b = model.box(n);
-      xs.push_back(b.x_lo);
-      xs.push_back(b.x_hi);
-      ys.push_back(b.y_lo);
-      ys.push_back(b.y_hi);
-    }
-    const std::size_t mid = xs.size() / 2;
-    std::nth_element(xs.begin(), xs.begin() + static_cast<std::ptrdiff_t>(mid),
-                     xs.end());
-    std::nth_element(ys.begin(), ys.begin() + static_cast<std::ptrdiff_t>(mid),
-                     ys.end());
-    tx = std::clamp<std::size_t>(xs[mid], 1, nx);
-    ty = std::clamp<std::size_t>(ys[mid], 1, ny);
-    return true;
-  }
-
-  /// Draw one move from `r` against the current placement state.
-  /// Reproduces the seed draw sequence exactly when allow_directed is
-  /// false: block, then destination coordinates/site.
-  void gen_move(Rng& r, double range, bool allow_directed, Proposal& p) const {
+  /// Draw one move of a block of `reg` to a site of `reg`: the block,
+  /// then the destination coordinates (inside the range window, clipped
+  /// to the region) or IO site and slot. On the whole grid this is the
+  /// seed annealer's draw sequence.
+  void gen_move(Worker& w, const Region& reg, double range) const {
+    Proposal& p = w.scratch;
     p.valid = false;
     p.b = kEmpty;
-    p.gen = pick_generator(r, allow_directed);
-    p.a = pick_block(r, allow_directed);
+    p.a = reg.blocks[w.rng.uniform_int(reg.blocks.size())];
     p.is_logic = pack.blocks[p.a].type == PackedType::kLogic;
-    p.src = locs[p.a];
+    p.src = w.locs[p.a];
     if (p.is_logic) {
-      std::size_t tx = 0, ty = 0;
-      bool directed = false;
-      if (p.gen == 1) directed = centroid_target(p.a, tx, ty);
-      else if (p.gen == 2) directed = median_target(p.a, tx, ty);
-      if (directed) {
-        // Land within +-1 of the target so the generator explores the
-        // neighbourhood instead of hammering one cell.
-        const long long jx = static_cast<long long>(r.uniform_int(3)) - 1;
-        const long long jy = static_cast<long long>(r.uniform_int(3)) - 1;
-        p.dest.x = static_cast<std::size_t>(std::clamp<long long>(
-            static_cast<long long>(tx) + jx, 1, static_cast<long long>(nx)));
-        p.dest.y = static_cast<std::size_t>(std::clamp<long long>(
-            static_cast<long long>(ty) + jy, 1, static_cast<long long>(ny)));
-      } else {
-        const auto rr = static_cast<std::size_t>(std::max(1.0, range));
-        const auto pick_coord = [&](std::size_t cur, std::size_t limit) {
-          const std::size_t lo = cur > rr ? cur - rr : 1;
-          const std::size_t hi = std::min(limit, cur + rr);
-          return lo + r.uniform_int(hi - lo + 1);
-        };
-        p.dest.x = pick_coord(p.src.x, nx);
-        p.dest.y = pick_coord(p.src.y, ny);
-      }
+      const auto rr = static_cast<std::size_t>(std::max(1.0, range));
+      const auto pick_coord = [&](std::size_t cur, std::size_t lo_lim,
+                                  std::size_t hi_lim) {
+        const std::size_t lo = cur >= lo_lim + rr ? cur - rr : lo_lim;
+        const std::size_t hi = std::min(hi_lim, cur + rr);
+        return lo + w.rng.uniform_int(hi - lo + 1);
+      };
+      p.dest.x = pick_coord(p.src.x, reg.x_lo, reg.x_hi);
+      p.dest.y = pick_coord(p.src.y, reg.y_lo, reg.y_hi);
       p.dest.sub = 0;
       if (p.dest.x == p.src.x && p.dest.y == p.src.y) return;
       p.b = logic_at[(p.dest.x - 1) + (p.dest.y - 1) * nx];
     } else {
-      const std::size_t site = r.uniform_int(io_sites.size());
+      const std::size_t site =
+          reg.io_sites[w.rng.uniform_int(reg.io_sites.size())];
       p.dest.x = io_sites[site].first;
       p.dest.y = io_sites[site].second;
-      p.dest.sub = r.uniform_int(arch.io_per_pad);
+      p.dest.sub = w.rng.uniform_int(arch.io_per_pad);
       if (p.dest.x == p.src.x && p.dest.y == p.src.y &&
           p.dest.sub == p.src.sub) {
         return;
@@ -651,68 +632,125 @@ struct Annealer {
     p.valid = true;
   }
 
-  /// One proposed move; returns true if accepted. With allow_directed
-  /// false this is draw-for-draw and bit-for-bit the seed annealer's
-  /// try_move, except that a rejected move is reversed from the undo log
-  /// instead of recomputed back.
-  bool try_move(double t, double range = 1e9, bool allow_directed = false) {
-    ++counters.proposed;
-    gen_move(rng, range, allow_directed, scratch);
-    if (opt.directed_moves) {
-      ++gen_tried[static_cast<std::size_t>(scratch.gen)];
-      if (scratch.gen != 0) ++counters.directed;
-    }
-    if (!scratch.valid) return false;
-    // Mutate with an undo log. The evaluation is the seed annealer's
-    // do_swap discipline (in-place rescans, no merge walk), but where the
-    // seed paid a full second rescan to reverse a rejected move, the undo
-    // log restores the displaced boxes bit-for-bit with plain copies.
-    scratch.pending.clear();
-    const double delta = model.apply_swap(locs, scratch.a, scratch.dest,
-                                          scratch.b, scratch.pending);
-    const bool accept = delta <= 0.0 || rng.uniform() < std::exp(-delta / t);
+  /// One proposed move; returns true if accepted. On the whole grid with
+  /// the main worker this is draw-for-draw and bit-for-bit the seed
+  /// annealer's try_move, except that a rejected move is reversed from
+  /// the undo log instead of recomputed back. `trace`, when given,
+  /// receives the delta of every evaluated move.
+  bool try_move(Worker& w, const Region& reg, double t, double range,
+                std::vector<double>* trace) {
+    ++w.counters.proposed;
+    gen_move(w, reg, range);
+    Proposal& p = w.scratch;
+    if (!p.valid) return false;
+    p.pending.clear();
+    const double delta = w.model.apply_swap(w.locs, p.a, p.dest, p.b,
+                                            p.pending);
+    if (trace) trace->push_back(delta);
+    const bool accept = delta <= 0.0 || w.rng.uniform() < std::exp(-delta / t);
     if (accept) {
-      model.book_delta(delta);
-      commit_occupancy(scratch.a, scratch.b, scratch.src, scratch.dest,
-                       scratch.is_logic);
-      ++counters.accepted;
-      if (opt.directed_moves) ++gen_acc[static_cast<std::size_t>(scratch.gen)];
+      w.model.book_delta(delta);
+      commit_occupancy(p.a, p.b, p.src, p.dest, p.is_logic);
+      ++w.counters.accepted;
       return true;
     }
-    model.undo_swap(locs, scratch.a, scratch.src, scratch.b, scratch.dest,
-                    scratch.pending);
+    w.model.undo_swap(w.locs, p.a, p.src, p.b, p.dest, p.pending);
     return false;
   }
 
-  // ---- schedule ---------------------------------------------------------
-
-  std::size_t sweep(double t, double range, std::size_t moves) {
+  std::size_t sweep(Worker& w, const Region& reg, std::size_t moves,
+                    double t, double range, std::vector<double>* trace) {
     std::size_t accepted = 0;
     for (std::size_t m = 0; m < moves; ++m) {
-      accepted += try_move(t, range, opt.directed_moves);
+      accepted += try_move(w, reg, t, range, trace);
     }
     return accepted;
   }
 
-  /// Re-balance the generator probabilities toward whichever generator
-  /// is currently earning acceptances, with a floor so none starves.
-  void update_gen_weights() {
-    std::array<double, 3> w{};
-    double sum = 0.0;
-    for (std::size_t g = 0; g < 3; ++g) {
-      const double rate = gen_tried[g]
-                              ? static_cast<double>(gen_acc[g]) /
-                                    static_cast<double>(gen_tried[g])
-                              : 0.5;
-      w[g] = 0.1 + rate;
-      sum += w[g];
-      gen_tried[g] = 0;
-      gen_acc[g] = 0;
+  // ---- schedule ---------------------------------------------------------
+
+  /// Give each region a worker copied from the main one. Called at the
+  /// start of every anneal, after the net weights are final.
+  void prepare_workers() {
+    if (px * py == 1) return;
+    workers.clear();
+    for (std::size_t r = 0; r < px * py; ++r) workers.push_back(main);
+    regions.assign(px * py, Region{});
+  }
+
+  /// One temperature step of `moves` moves; returns the accepted count.
+  /// One region sweeps the whole grid with the main worker. More regions
+  /// sweep concurrently, each on the stream of (seed, step, region) and
+  /// with a share of the moves proportional to its block count (the
+  /// remainder one each in region order); then each region's blocks are
+  /// merged back and every box is re-derived, so the tracked cost is
+  /// exact again.
+  std::size_t step(double t, double range, std::size_t moves,
+                   std::vector<std::vector<double>>* trace) {
+    const std::size_t index = steps++;
+    if (px * py == 1) {
+      return sweep(main, whole, moves, t, range,
+                   trace ? &(*trace)[0] : nullptr);
     }
-    for (std::size_t g = 0; g < 3; ++g) gen_weight[g] = w[g] / sum;
+    const auto xs = region_starts(nx, index, 0);
+    const auto ys = region_starts(ny, index, 1);
+    auto region_of = [&](std::size_t x, std::size_t y) {
+      return region_index(ys, y) * px + region_index(xs, x);
+    };
+    for (std::size_t r = 0; r < regions.size(); ++r) {
+      Region& reg = regions[r];
+      reg.x_lo = xs[r % px];
+      reg.x_hi = xs[r % px + 1] - 1;
+      reg.y_lo = ys[r / px];
+      reg.y_hi = ys[r / px + 1] - 1;
+      reg.blocks.clear();
+      reg.io_sites.clear();
+    }
+    for (std::size_t b = 0; b < main.locs.size(); ++b) {
+      regions[region_of(main.locs[b].x, main.locs[b].y)].blocks.push_back(b);
+    }
+    for (std::size_t s = 0; s < io_sites.size(); ++s) {
+      regions[region_of(io_sites[s].first, io_sites[s].second)]
+          .io_sites.push_back(s);
+    }
+    std::vector<std::size_t> share(regions.size());
+    std::size_t left = moves;
+    for (std::size_t r = 0; r < regions.size(); ++r) {
+      share[r] = moves * regions[r].blocks.size() / main.locs.size();
+      left -= share[r];
+    }
+    for (std::size_t r = 0; left > 0; ++r) {
+      if (regions[r].blocks.empty()) continue;
+      ++share[r];
+      --left;
+    }
+    const std::uint64_t base = Rng::from_stream(opt.seed, index).next_u64();
+    for (std::size_t r = 0; r < regions.size(); ++r) {
+      Worker& w = workers[r];
+      w.rng = Rng::from_stream(base, r);
+      w.locs = main.locs;
+      w.model.adopt_boxes(main.model);
+      w.counters = {};
+    }
+    ThreadPool::current().parallel_for(regions.size(), [&](std::size_t r) {
+      sweep(workers[r], regions[r], share[r], t, range,
+            trace ? &(*trace)[r] : nullptr);
+    });
+    std::size_t accepted = 0;
+    for (std::size_t r = 0; r < regions.size(); ++r) {
+      for (std::size_t b : regions[r].blocks) {
+        main.locs[b] = workers[r].locs[b];
+      }
+      main.counters.proposed += workers[r].counters.proposed;
+      main.counters.accepted += workers[r].counters.accepted;
+      accepted += workers[r].counters.accepted;
+    }
+    main.model.rebuild(main.locs);
+    return accepted;
   }
 
   void anneal(double t_start) {
+    prepare_workers();
     const std::size_t n_blocks = pack.blocks.size();
     const auto moves_per_t = static_cast<std::size_t>(
         std::max(1.0, opt.inner_num *
@@ -723,10 +761,10 @@ struct Annealer {
     // cost: the live rule runs a few more cold temperatures and bought
     // no measurable QoR (EXPERIMENTS.md, "Anneal schedule").
     const double exit_t =
-        0.005 * model.total_cost() /
+        0.005 * main.model.total_cost() /
         static_cast<double>(std::max<std::size_t>(nets.size(), 1));
     while (t > exit_t) {
-      const std::size_t accepted = sweep(t, range, moves_per_t);
+      const std::size_t accepted = step(t, range, moves_per_t, nullptr);
       const double rate =
           static_cast<double>(accepted) / static_cast<double>(moves_per_t);
       // VPR's adaptive schedule.
@@ -739,7 +777,6 @@ struct Annealer {
       // Shrink the move window toward the sweet-spot 44% acceptance.
       range *= 1.0 - 0.44 + rate;
       range = std::clamp(range, 1.0, static_cast<double>(std::max(nx, ny)));
-      if (opt.directed_moves) update_gen_weights();
     }
   }
 
@@ -749,16 +786,16 @@ struct Annealer {
   /// budget, and leave the cost a little better on some circuits and
   /// worse on others (EXPERIMENTS.md, "Anneal schedule"). At 1x the first
   /// temperature accepts about 75-80%, the top of the band where the
-  /// anneal does its work. Always probes with the uniform generator, so
-  /// it is seed-identical whether or not directed moves are on.
+  /// anneal does its work. The probe moves are whole-grid moves on the
+  /// main stream at any region count.
   double probe_temperature() {
     const std::size_t n_blocks = pack.blocks.size();
     double sum = 0.0, sum2 = 0.0;
     const std::size_t probes = std::min<std::size_t>(n_blocks, 200);
     for (std::size_t i = 0; i < probes; ++i) {
-      const double before = model.total_cost();
-      try_move(1e30);  // always accept
-      const double d = model.total_cost() - before;
+      const double before = main.model.total_cost();
+      try_move(main, whole, 1e30, 1e9, nullptr);  // always accept
+      const double d = main.model.total_cost() - before;
       sum += d;
       sum2 += d * d;
     }
@@ -769,7 +806,7 @@ struct Annealer {
 
   void run(const Netlist& nl) {
     initial_place();
-    model.rebuild(locs);
+    main.model.rebuild(main.locs);
     if (nets.empty()) return;
     anneal(probe_temperature());
 
@@ -778,27 +815,15 @@ struct Annealer {
       // paths pull harder in a second anneal at medium temperature. The
       // estimate is the shared utility the incremental STA also seeds
       // from, keeping placement and routing on one criticality notion.
-      const auto crit = placement_net_criticality(nl, nets, locs);
+      const auto crit = placement_net_criticality(nl, nets, main.locs);
       std::vector<double> w(nets.size(), 1.0);
       for (std::size_t n = 0; n < nets.size(); ++n) {
         w[n] = 1.0 + opt.timing_weight * crit[n] * crit[n];
       }
-      model.set_weights(std::move(w));
-      model.rebuild(locs);  // re-evaluate boxes under the new weights
-      timing_phase = true;
-      if (opt.directed_moves) {
-        for (std::size_t n = 0; n < nets.size(); ++n) {
-          if (crit[n] < 0.8) continue;
-          crit_blocks.push_back(nets[n].driver);
-          for (std::size_t s : nets[n].sinks) crit_blocks.push_back(s);
-        }
-        std::sort(crit_blocks.begin(), crit_blocks.end());
-        crit_blocks.erase(
-            std::unique(crit_blocks.begin(), crit_blocks.end()),
-            crit_blocks.end());
-      }
+      main.model.set_weights(std::move(w));
+      main.model.rebuild(main.locs);  // re-evaluate boxes under the new weights
       const double exit_t =
-          0.005 * model.total_cost() /
+          0.005 * main.model.total_cost() /
           static_cast<double>(std::max<std::size_t>(nets.size(), 1));
       anneal(50.0 * exit_t);
     }
@@ -968,15 +993,42 @@ Placement place(const Netlist& nl, const Packing& p, const ArchParams& arch,
   Placement out;
   out.nx = nx;
   out.ny = ny;
-  out.locs = std::move(an.locs);
-  out.final_weighted_cost = an.model.total_cost();
+  out.locs = std::move(an.main.locs);
+  out.final_weighted_cost = an.main.model.total_cost();
   // The timing-driven anneal minimizes the weighted cost; report the
   // unweighted bounding-box cost separately so final_cost always matches
   // placement_cost()'s definition.
-  out.final_cost = opt.timing_driven ? an.model.unweighted_cost()
-                                     : an.model.total_cost();
-  out.counters = an.counters;
+  out.final_cost = opt.timing_driven ? an.main.model.unweighted_cost()
+                                     : an.main.model.total_cost();
+  out.counters = an.main.counters;
   out.nets = std::move(an.nets);
+  return out;
+}
+
+std::size_t anneal_regions_per_axis(std::size_t n) {
+  return n < 2 * kAnnealRegionSide + kCutSwing
+             ? 1
+             : (n - kCutSwing) / kAnnealRegionSide;
+}
+
+AnnealStepTrace anneal_step(const Packing& p, const ArchParams& arch,
+                            const Placement& pl,
+                            const std::vector<double>& weights,
+                            std::uint64_t seed, const AnnealStep& step) {
+  PlaceOptions opt;
+  opt.seed = seed;
+  Annealer an(p, arch, pl.nx, pl.ny, opt, pl.nets);
+  an.main.locs = pl.locs;
+  an.occupy();
+  an.main.model.set_weights(weights);
+  an.main.model.rebuild(an.main.locs);
+  an.prepare_workers();
+  an.steps = step.index;
+  AnnealStepTrace out;
+  out.deltas.resize(an.px * an.py);
+  an.step(step.t, step.range, step.moves, &out.deltas);
+  out.locs = std::move(an.main.locs);
+  out.counters = an.main.counters;
   return out;
 }
 

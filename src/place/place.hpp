@@ -3,17 +3,23 @@
 // range-limited swap moves. Logic clusters occupy the nx-by-ny grid; IO
 // blocks occupy perimeter pad slots.
 //
-// The annealer is built from two layers:
-//  - NetCostModel: bounding-box net costs. The annealer's serial kernel
-//    rescans the touched nets in place with an undo log (apply_swap /
-//    undo_swap); the non-mutating propose()/commit() pair, with per-edge
-//    pin counts that evaluate a move in O(1) per touched net, serves the
-//    ECO flow.
-//  - Move generators: uniform range-limited swaps (the default, which
-//    reproduces the seed annealer bit-for-bit) plus opt-in
-//    weighted-centroid and median-region directed generators under an
-//    adaptive probability schedule, with criticality-biased block picks
-//    in the timing-driven phase.
+// NetCostModel holds the per-net bounding boxes. The annealer rescans the
+// touched nets in place with an undo log (apply_swap / undo_swap); the
+// non-mutating propose()/commit() pair, with per-edge pin counts that
+// evaluate a move in O(1) per touched net, serves the ECO flow.
+//
+// Each temperature step splits the grid into regions in the style of
+// Ludwin and Betz, "Efficient and Deterministic Parallel Placement for
+// FPGAs" (TODAES 2011). A region is at least kAnnealRegionSide logic
+// sites on each side, so the region count is a pure function of the grid
+// size: grids below 20 sites wide are one region, the 22x22 grids of
+// frisc and pdc are 2x2. The regions anneal concurrently on
+// ThreadPool::current(), each on its own RNG stream and against a frozen
+// copy of the other regions' locations; a barrier merges them and
+// re-derives every box. The cut lines move every step so blocks cross
+// region borders over the anneal. One region is the plain serial sweep on
+// the placement's own stream, so the result is bit-identical at any
+// thread count either way.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +54,6 @@ struct PlaceCounters {
   std::uint64_t proposed = 0;  ///< Moves drawn, incl. degenerate no-ops.
   std::uint64_t accepted = 0;  ///< Moves committed.
   std::uint64_t rescans = 0;   ///< Incremental-edge-collapse full rescans.
-  std::uint64_t directed = 0;  ///< Proposals from directed generators.
 };
 
 struct Placement {
@@ -79,10 +84,6 @@ struct PlaceOptions {
   bool timing_driven = false;
   /// Weight emphasis for critical nets: w = 1 + timing_weight * crit^2.
   double timing_weight = 4.0;
-  /// Enable the weighted-centroid / median-region move generators under
-  /// an adaptive probability schedule (plus criticality-biased block
-  /// picks in the timing-driven phase).
-  bool directed_moves = false;
 };
 
 /// Incremental bounding-box net-cost engine. Owns per-net boxes with
@@ -232,6 +233,14 @@ class NetCostModel {
   /// same one += per accepted move the seed annealer performed.
   void book_delta(double d) { cost_ += d; }
 
+  /// Take over the boxes and tracked total of `from`, a model over the
+  /// same nets and weights: how an anneal region re-synchronises its
+  /// private box records at a barrier without copying the net lists.
+  void adopt_boxes(const NetCostModel& from) {
+    boxes_ = from.boxes_;
+    cost_ = from.cost_;
+  }
+
  private:
   Box scan_box(const PlacedNet& n, const std::vector<BlockLoc>& locs,
                std::size_t a, const BlockLoc& new_a, std::size_t b,
@@ -276,6 +285,41 @@ std::vector<PlacedNet> extract_placed_nets(const Netlist& nl, const Packing& p);
 std::vector<double> placement_net_criticality(
     const Netlist& nl, const std::vector<PlacedNet>& nets,
     const std::vector<BlockLoc>& locs);
+
+/// Smallest side of an anneal region, in logic sites.
+inline constexpr std::size_t kAnnealRegionSide = 8;
+
+/// Regions along a grid axis of n logic sites: as many as keep every
+/// region at least kAnnealRegionSide wide while the cut lines swing by at
+/// least two sites either way, so 1 below n = 20 and 2 from 20 to 27.
+std::size_t anneal_regions_per_axis(std::size_t n);
+
+/// One temperature step of the region anneal, for the differential test
+/// against src/verify/reference_place.cpp.
+struct AnnealStep {
+  std::size_t index = 0;  ///< Step number: sets the cut lines and streams.
+  double t = 1.0;         ///< Temperature.
+  double range = 1e9;     ///< Range-limiter window, in sites.
+  std::size_t moves = 0;  ///< Moves over all regions.
+};
+
+/// What one step did: the merged locations, its counters, and the cost
+/// delta of every evaluated (non-degenerate) move, per region in order.
+struct AnnealStepTrace {
+  std::vector<BlockLoc> locs;
+  PlaceCounters counters;
+  std::vector<std::vector<double>> deltas;
+};
+
+/// Run one step of place()'s anneal from `pl` under per-net `weights`
+/// (parallel to pl.nets, which must be extract_placed_nets' list). With
+/// one region the step draws from Rng(seed), as place() does from
+/// PlaceOptions::seed; with more, region r draws from the stream derived
+/// from (seed, step.index, r).
+AnnealStepTrace anneal_step(const Packing& p, const ArchParams& arch,
+                            const Placement& pl,
+                            const std::vector<double>& weights,
+                            std::uint64_t seed, const AnnealStep& step);
 
 /// Anneal a placement on an nx-by-ny logic grid (IO pads on the border).
 /// Grid must fit: nx*ny >= #clusters and perimeter capacity >= #IO blocks.

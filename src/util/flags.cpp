@@ -76,6 +76,23 @@ double FlagParser::parse_double_flag(const char* flag, int& i) const {
   return double_value(flag, flag_operand(flag, i));
 }
 
+double FlagParser::parse_double_flag(const char* flag, int& i, double lo,
+                                     double hi, bool lo_open) const {
+  const char* tok = flag_operand(flag, i);
+  const double v = double_value(flag, tok);
+  char hint[64];
+  if (lo_open ? !(v > lo) : !(v >= lo)) {
+    std::snprintf(hint, sizeof hint, " (%s %g)",
+                  lo_open ? "greater than" : "at least", lo);
+    flag_error(flag, tok, hint);
+  }
+  if (v > hi) {
+    std::snprintf(hint, sizeof hint, " (at most %g)", hi);
+    flag_error(flag, tok, hint);
+  }
+  return v;
+}
+
 bool FlagParser::parse_bool_flag(const char* flag, int& i) const {
   const std::string_view tok = flag_operand(flag, i);
   if (tok == "0") return false;

@@ -54,6 +54,11 @@ class FlagParser {
   std::size_t parse_size_flag(const char* flag, int& i, std::size_t lo,
                               std::size_t hi = SIZE_MAX) const;
 
+  /// parse_double_flag limited to [lo, hi], or to (lo, hi] when
+  /// `lo_open`; an operand outside the range exits 2 naming the bound.
+  double parse_double_flag(const char* flag, int& i, double lo, double hi,
+                           bool lo_open = false) const;
+
  private:
   const char* prog_;
   int argc_;

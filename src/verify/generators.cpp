@@ -29,7 +29,7 @@ std::string DesignCase::describe() const {
      << " cexp=" << route.criticality_exp
      << " mcrit=" << route.max_criticality
      << "} place{seed=" << place_seed << " inner=" << place_inner_num
-     << " dir=" << place_directed << " td=" << place_timing << "}";
+     << " td=" << place_timing << "}";
   return os.str();
 }
 
@@ -91,9 +91,10 @@ DesignCase gen_design_case(Rng& rng) {
 
   c.place_seed = 1 + rng.uniform_int(1 << 20);
   c.place_inner_num = 0.1;
-  // Placer knobs: sometimes the directed generators and / or the
-  // criticality-weighted second anneal.
-  c.place_directed = rng.chance(0.35);
+  // Placer knob: sometimes the criticality-weighted second anneal. The
+  // draw before it once chose a deleted placer mode; it stays so every
+  // recorded case seed still rebuilds the same case.
+  rng.chance(0.35);
   c.place_timing = rng.chance(0.3);
   return c;
 }
@@ -159,12 +160,8 @@ std::vector<DesignCase> shrink_design_case(const DesignCase& c) {
   if (c.route.net_parallel) {
     push([&](DesignCase& s) { s.route.net_parallel = false; });
   }
-  // Shrink the placer toward the seed-identical uniform annealer: a
-  // reproducer that survives these switches exonerates the directed
-  // generators / timing anneal respectively.
-  if (c.place_directed) {
-    push([&](DesignCase& s) { s.place_directed = false; });
-  }
+  // Shrink the placer toward the wirelength-only anneal: a reproducer
+  // that survives the switch exonerates the timing anneal.
   if (c.place_timing) {
     push([&](DesignCase& s) { s.place_timing = false; });
   }
@@ -183,7 +180,6 @@ BuiltDesign build_design(const DesignCase& c) {
   PlaceOptions popt;
   popt.seed = c.place_seed;
   popt.inner_num = c.place_inner_num;
-  popt.directed_moves = c.place_directed;
   popt.timing_driven = c.place_timing;
   d.pl = place(d.nl, d.pk, d.arch, nx, ny, popt);
   return d;

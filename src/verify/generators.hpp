@@ -33,9 +33,8 @@ struct DesignCase {
   RouteOptions route;
   std::uint64_t place_seed = 1;
   double place_inner_num = 0.1;
-  /// Placer knobs under differential test (place.hpp): directed move
-  /// generators and the timing-driven second anneal.
-  bool place_directed = false;
+  /// Placer knob under differential test (place.hpp): the
+  /// timing-driven second anneal.
   bool place_timing = false;
 
   std::string describe() const;

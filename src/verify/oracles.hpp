@@ -10,6 +10,7 @@
 //   reference_net_cost / reference_placement_cost
 //                              vs  NetCostModel     (per-net bit-identical;
 //                                  tracked total tolerance-bounded)
+//   reference_anneal_step      vs  anneal_step      (bit-identical)
 //   reference_analyze_timing   vs  analyze_timing   (tolerance-bounded)
 //   reference_programming_yield vs programming_yield (bit-identical)
 //   reference_sample_population_parallel
@@ -128,6 +129,20 @@ double reference_net_cost(const PlacedNet& n, double weight,
 double reference_placement_cost(const std::vector<PlacedNet>& nets,
                                 const std::vector<double>& weights,
                                 const std::vector<BlockLoc>& locs);
+
+/// Serial full-rescan transcription of one temperature step of the region
+/// anneal (place.hpp anneal_step). Regions run one after another in region
+/// order, each on a copy of the start locations in which only its own
+/// blocks move. Every move is costed by rescanning each touched net before
+/// and after, occupancy is a search over the locations, and the cut lines,
+/// move shares and RNG streams are re-derived from the documented rules.
+/// Deltas, counters and the merged locations must equal anneal_step's bit
+/// for bit (tests/prop/prop_place_diff.cpp).
+AnnealStepTrace reference_anneal_step(const Packing& p, const ArchParams& arch,
+                                      const Placement& pl,
+                                      const std::vector<double>& weights,
+                                      std::uint64_t seed,
+                                      const AnnealStep& step);
 
 /// Plain serial Monte-Carlo yield loop (no thread pool, no deferred
 /// reduction); the parallel programming_yield must match it bit-for-bit

@@ -45,7 +45,6 @@ EcoOptions eco_options(const DesignCase& c) {
   o.route = c.route;
   o.place.seed = c.place_seed;
   o.place.inner_num = c.place_inner_num;
-  o.place.directed_moves = c.place_directed;
   o.place.timing_driven = c.place_timing;
   o.seed = c.place_seed;
   return o;

@@ -4,13 +4,21 @@
 // boxes and costs must agree bitwise after every commit, the incremental
 // and naive kernels must produce bit-identical deltas, and the tracked
 // total must stay within 1e-9 relative of a from-scratch recompute. Plus
-// a whole-placer property: every randomized configuration (directed
-// generators, timing-driven second anneal) yields a legal placement with
-// a consistent reported cost.
+// a whole-placer property: every randomized configuration (with or
+// without the timing-driven second anneal) yields a legal placement with
+// a consistent reported cost. And one temperature step of the region
+// anneal on grids of at least 16x16 against its serial full-rescan
+// transcription: per-move deltas, counters and the merged placement.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
 #include <vector>
 
+#include "arch/rr_graph.hpp"
+#include "netlist/synth_gen.hpp"
+#include "pack/pack.hpp"
 #include "place/place.hpp"
 #include "verify/generators.hpp"
 #include "verify/oracles.hpp"
@@ -123,6 +131,73 @@ TEST(PropPlaceDiff, RandomConfigsPlaceLegallyWithConsistentCost) {
   const PropResult res = check_seeds("place_legal", cfg, run_place_case);
   EXPECT_TRUE(res.ok()) << res.report();
   EXPECT_GE(res.cases_run, cfg.only_case ? 1u : 100u);
+}
+
+void run_region_step(Rng& rng) {
+  SynthSpec spec;
+  spec.name = "region" + std::to_string(rng.next_u64());
+  spec.n_luts = 100 + rng.uniform_int(900);
+  spec.n_inputs = 8 + rng.uniform_int(40);
+  spec.n_outputs = 4 + rng.uniform_int(30);
+  spec.n_latches = rng.uniform_int(spec.n_luts / 8 + 1);
+  ArchParams arch;
+  const Netlist nl = generate_netlist(spec);
+  const Packing pk = pack_netlist(nl, arch);
+  const auto [gx, gy] =
+      grid_size_for(arch, pk.clusters.size(), pk.io_block_count());
+  const std::size_t nx = std::max<std::size_t>(gx, 16 + rng.uniform_int(15));
+  const std::size_t ny = std::max<std::size_t>(gy, 16 + rng.uniform_int(15));
+  PlaceOptions po;
+  po.seed = 1 + rng.uniform_int(1000);
+  po.inner_num = 0.02;  // a part-annealed start, cheap to reach
+  const Placement pl = place(nl, pk, arch, nx, ny, po);
+  if (pl.nets.empty()) return;
+
+  std::vector<double> w(pl.nets.size(), 1.0);
+  if (rng.chance(0.5)) {
+    for (auto& x : w) x = 1.0 + 4.0 * rng.uniform();
+  }
+  AnnealStep step;
+  step.index = rng.uniform_int(500);
+  step.t = pl.final_cost / static_cast<double>(pl.nets.size()) *
+           std::exp(rng.uniform(-4.0, 2.0));
+  step.range = 1.0 + rng.uniform() * static_cast<double>(std::max(nx, ny));
+  step.moves = 100 + rng.uniform_int(1500);
+  const std::uint64_t seed = rng.next_u64();
+
+  const AnnealStepTrace got = anneal_step(pk, arch, pl, w, seed, step);
+  const AnnealStepTrace want =
+      reference_anneal_step(pk, arch, pl, w, seed, step);
+  prop_require(got.deltas.size() == want.deltas.size(),
+               "region count differs from the oracle");
+  for (std::size_t r = 0; r < got.deltas.size(); ++r) {
+    prop_require(got.deltas[r].size() == want.deltas[r].size(),
+                 "evaluated-move count differs in a region");
+    for (std::size_t m = 0; m < got.deltas[r].size(); ++m) {
+      prop_require(got.deltas[r][m] == want.deltas[r][m],
+                   "move delta is not bit-identical to the full rescan");
+    }
+  }
+  prop_require(got.counters.proposed == want.counters.proposed &&
+                   got.counters.accepted == want.counters.accepted,
+               "step counters differ from the oracle");
+  for (std::size_t b = 0; b < got.locs.size(); ++b) {
+    prop_require(got.locs[b].x == want.locs[b].x &&
+                     got.locs[b].y == want.locs[b].y &&
+                     got.locs[b].sub == want.locs[b].sub,
+                 "merged placement differs from the oracle");
+  }
+  Placement merged = pl;
+  merged.locs = got.locs;
+  check_placement(pk, arch, merged);  // throws on an illegal placement
+}
+
+TEST(PropPlaceDiff, RegionStepMatchesSerialFullRescan) {
+  const PropConfig cfg = PropConfig::from_env(30);
+  const PropResult res = check_seeds("place_region_step", cfg,
+                                     run_region_step);
+  EXPECT_TRUE(res.ok()) << res.report();
+  EXPECT_GE(res.cases_run, cfg.only_case ? 1u : 30u);
 }
 
 }  // namespace

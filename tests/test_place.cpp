@@ -200,29 +200,12 @@ TEST(Place, TimingDrivenReportsBothCosts) {
   EXPECT_GE(pl.final_weighted_cost, pl.final_cost);
 }
 
-TEST(Place, DirectedMovesAreLegalAndDeterministic) {
-  Fixture f(300, "place-directed");
-  PlaceOptions opt;
-  opt.directed_moves = true;
-  opt.seed = 11;
-  const auto a = place(f.nl, f.pk, f.arch, 7, 7, opt);
-  check_placement(f.pk, f.arch, a);
-  EXPECT_GT(a.counters.directed, 0u);
-  const auto b = place(f.nl, f.pk, f.arch, 7, 7, opt);
-  ASSERT_EQ(a.locs.size(), b.locs.size());
-  for (std::size_t i = 0; i < a.locs.size(); ++i) {
-    EXPECT_EQ(a.locs[i].x, b.locs[i].x);
-    EXPECT_EQ(a.locs[i].y, b.locs[i].y);
-    EXPECT_EQ(a.locs[i].sub, b.locs[i].sub);
-  }
-}
-
 // The default schedule (PlaceOptions{}) as run_flow runs it on tseng: the
 // move counters, the final cost and a checksum of every location. The
 // router goldens all set their own inner_num, so without this pin a
 // change to the default budget, start temperature or exit rule would
-// show only through flow-level figures. The annealer is serial, so the
-// pool size must not matter.
+// show only through flow-level figures. tseng's 12x12 grid is one region,
+// so this is the serial sweep and the pool size must not matter.
 TEST(Place, DefaultScheduleGolden) {
   const Netlist nl = generate_benchmark("tseng");
   const ArchParams arch;
@@ -240,6 +223,46 @@ TEST(Place, DefaultScheduleGolden) {
     EXPECT_EQ(pl.final_cost, 5743.4303000001246);
     EXPECT_EQ(loc_checksum(pl), 17556513146416076925ull);
   }
+}
+
+// The region count is a pure function of the grid side: one region below
+// 20 sites (every flow grid but frisc's and pdc's), 2x2 on their 22x22.
+TEST(Place, RegionCountFollowsGridSide) {
+  for (std::size_t n = 1; n < 20; ++n) {
+    EXPECT_EQ(anneal_regions_per_axis(n), 1u) << n;
+  }
+  EXPECT_EQ(anneal_regions_per_axis(20), 2u);
+  EXPECT_EQ(anneal_regions_per_axis(22), 2u);
+  EXPECT_EQ(anneal_regions_per_axis(27), 2u);
+  EXPECT_EQ(anneal_regions_per_axis(28), 3u);
+}
+
+// A 22x22 grid anneals as 2x2 regions on the current pool. Their streams
+// and cut lines depend only on the seed and the step, so the placement,
+// its cost and its counters must not depend on the pool size; the 1-thread
+// run is the pin.
+TEST(Place, RegionScheduleGolden) {
+  Fixture f(2000, "place-regions");
+  ASSERT_LE(f.pk.clusters.size(), 22u * 22u);
+  std::vector<Placement> runs;
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    ThreadPool pool(threads);
+    ThreadPool::ScopedUse use(pool);
+    runs.push_back(place(f.nl, f.pk, f.arch, 22, 22));
+    check_placement(f.pk, f.arch, runs.back());
+  }
+  for (const Placement& pl : runs) {
+    EXPECT_EQ(pl.counters.proposed, runs[0].counters.proposed);
+    EXPECT_EQ(pl.counters.accepted, runs[0].counters.accepted);
+    EXPECT_EQ(pl.final_cost, runs[0].final_cost);
+    EXPECT_EQ(loc_checksum(pl), loc_checksum(runs[0]));
+  }
+  EXPECT_EQ(runs[0].counters.proposed, 164972u);
+  EXPECT_EQ(runs[0].counters.accepted, 60124u);
+  EXPECT_EQ(runs[0].final_cost, 10892.365000000036);
+  EXPECT_EQ(loc_checksum(runs[0]), 13340401537408394926ull);
+  EXPECT_NEAR(runs[0].final_cost, placement_cost(runs[0]),
+              1e-9 * runs[0].final_cost);
 }
 
 // Regression: placement_net_criticality used to leave LUTs on

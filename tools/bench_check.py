@@ -49,8 +49,8 @@ trajectory is pinned bit-identical across thread counts, so `threads`
 does not join the configuration tuple: diffing a 1-thread run against
 an 8-thread run is exactly how that claim is audited — the final cost,
 the placement checksum, and the move/accept/rescan counters must all
-hold. The knobs that legitimately change the trajectory (directed,
-timing_driven, inner_num, seed) ARE the configuration. Wall time
+hold. The knobs that legitimately change the trajectory (timing_driven,
+inner_num, seed) ARE the configuration. Wall time
 additionally requires the same threads. A route bench and a place bench
 measure
 different programs entirely, so cross-family comparison is a hard
@@ -131,7 +131,7 @@ COUNTER_OPTIONAL_FIELDS = ("sta_net_evals", "sta_block_updates")
 # sub-object). All of these are pinned across thread counts: the
 # annealing trajectory is deterministic.
 PLACE_EXACT_FIELDS = ("final_cost", "final_weighted_cost", "cost_checksum",
-                      "moves", "accepted", "rescans", "directed_moves",
+                      "moves", "accepted", "rescans",
                       "route_w", "routed", "critical_path_s")
 
 # Eco-family correctness fields: every one is a deterministic function of
@@ -199,8 +199,8 @@ def place_config(data):
     deliberately excluded: the placer is required to be bit-identical
     across thread counts, so cross-thread diffs must still pin every
     correctness field — that diff IS the audit."""
-    return ("place-1", data.get("directed"), data.get("timing_driven"),
-            data.get("inner_num"), data.get("seed"))
+    return ("place-1", data.get("timing_driven"), data.get("inner_num"),
+            data.get("seed"))
 
 
 def eco_config(data):
@@ -793,7 +793,6 @@ def selftest():
     p_base = {
         "schema": "nemfpga-place-bench-1",
         "threads": 1,
-        "directed": True,
         "timing_driven": False,
         "inner_num": 1.0,
         "seed": 1,
@@ -802,7 +801,7 @@ def selftest():
         "circuits": [{
             "name": "synth-l", "luts": 5760, "blocks": 1500, "nets": 5251,
             "place_wall_s": 0.3, "moves": 1_000_000, "moves_per_s": 3e6,
-            "accepted": 400_000, "rescans": 1234, "directed_moves": 50_000,
+            "accepted": 400_000, "rescans": 1234,
             "final_cost": 4242.5, "final_weighted_cost": 4242.5,
             "cost_checksum": "a4e8f50864144d31",
             "route_w": 54, "routed": True,
@@ -851,11 +850,10 @@ def selftest():
 
     # Different placer knobs: a different trajectory; coverage only.
     p_knob = json.loads(json.dumps(p_base))
-    p_knob["directed"] = False
-    p_knob["circuits"][0]["cost_checksum"] = "directed-differs"
-    p_knob["circuits"][0]["directed_moves"] = 0
+    p_knob["timing_driven"] = True
+    p_knob["circuits"][0]["cost_checksum"] = "timing-differs"
     assert compare(p_base, p_knob, 15.0) == [], \
-        "different directed setting is a different config"
+        "different timing_driven setting is a different config"
     p_knob_drop = json.loads(json.dumps(p_knob))
     p_knob_drop["circuits"] = [dict(p_knob["circuits"][0], name="other")]
     assert compare(p_base, p_knob_drop, 15.0), \

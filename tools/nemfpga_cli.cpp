@@ -10,6 +10,7 @@
 //
 // Exit code 0 on success; diagnostic text on stderr, reports on stdout.
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -80,11 +81,11 @@ struct Args {
                "  --synth N          generate an N-LUT synthetic circuit\n"
                "  --inputs N --outputs N --latches N   synth parameters\n"
                "                     (--synth and --inputs at least 1)\n"
-               "  --width W          channel width (default 118, at least 2)\n"
+               "  --width W          channel width (default 118, 2..1024)\n"
                "  --timing           timing-driven routing (incremental STA\n"
                "                     criticalities blend into the PathFinder\n"
                "                     cost; delays from --variant's view)\n"
-               "  --crit-exp E       criticality sharpening exponent "
+               "  --crit-exp E       criticality sharpening exponent, > 0 "
                "(default 1.0)\n"
                "  --place-timing     criticality-weighted second anneal in\n"
                "                     the placer (reports both the\n"
@@ -125,14 +126,21 @@ Args parse(int argc, char** argv) {
     else if (flag == "--inputs") a.inputs = fp.parse_size_flag(f, i, 1);
     else if (flag == "--outputs") a.outputs = fp.parse_size_flag(f, i);
     else if (flag == "--latches") a.latches = fp.parse_size_flag(f, i);
-    else if (flag == "--width") a.width = fp.parse_size_flag(f, i, 2);
+    else if (flag == "--width") {
+      a.width = fp.parse_size_flag(f, i, 2,
+                                   RouteOptions{}.max_channel_width);
+    }
     else if (flag == "--variant" || flag == "--backend") {
       a.variant = fp.flag_operand(f, i);
     } else if (flag == "--sb-pattern") a.sb_pattern = fp.flag_operand(f, i);
-    else if (flag == "--downsize") a.downsize = fp.parse_double_flag(f, i);
+    else if (flag == "--downsize") {
+      a.downsize = fp.parse_double_flag(f, i, 1.0, 8.0);
+    }
     else if (flag == "--timing") a.timing = true;
     else if (flag == "--place-timing") a.place_timing = true;
-    else if (flag == "--crit-exp") a.crit_exp = fp.parse_double_flag(f, i);
+    else if (flag == "--crit-exp") {
+      a.crit_exp = fp.parse_double_flag(f, i, 0.0, HUGE_VAL, true);
+    }
     else if (flag == "--edits") a.edits = fp.parse_size_flag(f, i);
     else if (flag == "--edit-seed") a.edit_seed = fp.parse_size_flag(f, i);
     else if (flag == "--port") a.port = fp.parse_size_flag(f, i);

@@ -12,7 +12,8 @@
 # full-recompute reference hook. The placer differential campaign then
 # drives the incremental bounding-box cost model against the full-rescan
 # oracle over randomized move/swap sequences with randomized placer knobs
-# (directed-move generators, timing-driven second anneal, weighted nets).
+# (timing-driven second anneal, weighted nets), and one region-anneal
+# step per case against its serial full-rescan transcription.
 # The ECO campaign then
 # replays randomized edit streams (the generator's mutation mode: pin
 # connects/disconnects/retargets, block moves/swaps, with a deliberate
@@ -112,7 +113,7 @@ else
   [ "$PLACE_CASES" -ge 30 ] || PLACE_CASES=30
   echo "run_fuzz.sh: $PLACE_BIN (NF_PROP_CASES=$PLACE_CASES" \
        "NF_PROP_SEED=$SEED, randomized move sequences vs full-rescan" \
-       "oracle; directed/timing knobs randomized per case)"
+       "oracle; timing knob randomized per case)"
   NF_PROP_CASES="$PLACE_CASES" NF_PROP_SEED="$SEED" "$PLACE_BIN"
 fi
 
