@@ -15,6 +15,10 @@ namespace {
 
 constexpr float kInf = std::numeric_limits<float>::infinity();
 
+/// Tables the sample Dijkstras fold into: enough to balance the build
+/// over the pool, few enough that they stay small next to the graph.
+constexpr std::size_t kFoldChunks = 16;
+
 int node_class(const RrNode& n) {
   switch (n.type) {
     case RrType::kChanX:
@@ -43,11 +47,12 @@ std::int32_t RouteLookahead::node_key(const RrNode& n) const {
       static_cast<std::int64_t>(rx) * sy_ - ry);
 }
 
-RouteLookahead::RouteLookahead(const RrGraphView& real,
+RouteLookahead::RouteLookahead(const ArchParams& arch, std::size_t grid_nx,
+                               std::size_t grid_ny,
                                const DelayProfile* delay) {
   const auto t0 = std::chrono::steady_clock::now();
-  const int nx = static_cast<int>(real.nx());
-  const int ny = static_cast<int>(real.ny());
+  const int nx = static_cast<int>(grid_nx);
+  const int ny = static_cast<int>(grid_ny);
   off_x_ = nx + 1;
   off_y_ = ny + 1;
   const int sx = 2 * off_x_ + 1;
@@ -65,7 +70,7 @@ RouteLookahead::RouteLookahead(const RrGraphView& real,
   // an equal-cost thin path: thin distance <= real distance, which keeps
   // the table admissible while making the build W-independent and cheap
   // enough to run once per channel-width probe.
-  ArchParams thin_arch = real.arch();
+  ArchParams thin_arch = arch;
   thin_arch.W = 2 * std::max<std::size_t>(1, thin_arch.L);
   thin_arch.fc_in = 1.0;
   thin_arch.fc_out = 1.0;
@@ -75,7 +80,7 @@ RouteLookahead::RouteLookahead(const RrGraphView& real,
   // thin graph could miss a cheap stub the real W happens to select.
   // Dense fanout makes thin connectivity a superset of every real pick.
   thin_arch.dense_fanout = true;
-  const RrGraph g(thin_arch, real.nx(), real.ny());
+  const RrGraph g(thin_arch, grid_nx, grid_ny);
   const std::size_t n = g.node_count();
 
   // Thin-graph node keys (the same folding) for the distance fold below.
@@ -130,45 +135,55 @@ RouteLookahead::RouteLookahead(const RrGraphView& real,
   // for base cost, 0 — trivially a lower bound — for delay).
   auto build_table = [&](const std::vector<double>& cost, float chamfer_step,
                          bool manhattan_fallback) {
-    auto sample_table = [&](std::size_t si) {
-      const auto [tx, ty] = samples[si];
-      const RrNodeId sink = g.site(tx, ty).sink;
-      std::vector<double> dist(n, std::numeric_limits<double>::infinity());
+    // The samples fold into a fixed number of chunk tables, each chunk a
+    // contiguous run of samples sharing one distance array and heap, so
+    // the transient memory is bounded by the chunk count, not the tile
+    // count. Deterministic at any thread count: the per-cell minimum is
+    // exact and order-independent, and each Dijkstra is pure.
+    const std::size_t chunks = std::min(samples.size(), kFoldChunks);
+    std::vector<std::vector<float>> folds(chunks);
+    parallel_for(chunks, [&](std::size_t c) {
+      std::vector<float> tab(kClasses * span, kInf);
+      std::vector<double> dist(n);
       using Q = std::pair<double, RrNodeId>;
       std::priority_queue<Q, std::vector<Q>, std::greater<>> heap;
-      dist[sink] = 0.0;
-      heap.push({0.0, sink});
-      while (!heap.empty()) {
-        const auto [d, u] = heap.top();
-        heap.pop();
-        if (d > dist[u]) continue;
-        const double du = d + cost[u];
-        for (std::uint32_t k = roff[u]; k < roff[u + 1]; ++k) {
-          const RrNodeId p = rpred[k];
-          if (du < dist[p]) {
-            dist[p] = du;
-            heap.push({du, p});
+      const std::size_t first = c * samples.size() / chunks;
+      const std::size_t last = (c + 1) * samples.size() / chunks;
+      for (std::size_t si = first; si < last; ++si) {
+        const auto [tx, ty] = samples[si];
+        const RrNodeId sink = g.site(tx, ty).sink;
+        std::fill(dist.begin(), dist.end(),
+                  std::numeric_limits<double>::infinity());
+        dist[sink] = 0.0;
+        heap.push({0.0, sink});
+        while (!heap.empty()) {
+          const auto [d, u] = heap.top();
+          heap.pop();
+          if (d > dist[u]) continue;
+          const double du = d + cost[u];
+          for (std::uint32_t k = roff[u]; k < roff[u + 1]; ++k) {
+            const RrNodeId p = rpred[k];
+            if (du < dist[p]) {
+              dist[p] = du;
+              heap.push({du, p});
+            }
           }
         }
+        const std::int32_t tkey = target_key(tx, ty);
+        for (RrNodeId u = 0; u < n; ++u) {
+          if (!std::isfinite(dist[u])) continue;
+          // Round toward zero so the float table never exceeds the true
+          // distance (admissibility survives the narrowing).
+          float f = static_cast<float>(dist[u]);
+          if (static_cast<double>(f) > dist[u]) f = std::nextafterf(f, 0.0f);
+          float& cell = tab[static_cast<std::size_t>(thin_key[u] + tkey)];
+          cell = std::min(cell, f);
+        }
       }
-      std::vector<float> tab(kClasses * span, kInf);
-      const std::int32_t tkey = target_key(tx, ty);
-      for (RrNodeId u = 0; u < n; ++u) {
-        if (!std::isfinite(dist[u])) continue;
-        // Round toward zero so the float table never exceeds the true
-        // distance (admissibility survives the narrowing).
-        float f = static_cast<float>(dist[u]);
-        if (static_cast<double>(f) > dist[u]) f = std::nextafterf(f, 0.0f);
-        float& cell = tab[static_cast<std::size_t>(thin_key[u] + tkey)];
-        cell = std::min(cell, f);
-      }
-      return tab;
-    };
-    // Deterministic at any thread count: the per-cell minimum over
-    // samples is order-independent, and each sample table is pure.
-    const auto tables = parallel_map(samples.size(), sample_table);
+      folds[c] = std::move(tab);
+    });
     std::vector<float> out(kClasses * span, kInf);
-    for (const auto& tab : tables) {
+    for (const auto& tab : folds) {
       for (std::size_t i = 0; i < out.size(); ++i) {
         out[i] = std::min(out[i], tab[i]);
       }

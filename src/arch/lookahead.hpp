@@ -1,7 +1,7 @@
 // Geometric routing lookahead for A* directed search (VPR-style "map
 // lookahead"): a per-segment-class table of the expected remaining base
 // cost from a signed tile offset (dx, dy) to a sink, built once per
-// RrGraph + cost profile by sampled backward Dijkstra over the reverse
+// fabric + cost profile by sampled backward Dijkstra over the reverse
 // graph. The router adds astar_factor * estimate to the heap key, which
 // prunes wrong-direction wires and accounts for the segment-length
 // quantisation a plain Manhattan heuristic cannot see.
@@ -76,8 +76,15 @@ class RouteLookahead {
   /// router's blended heuristic. The same admissibility argument applies:
   /// thin connectivity supersets any real width, and rounding is always
   /// toward zero.
+  ///
+  /// The build reads only the fabric (arch, grid) — never a real graph —
+  /// so it can run before or beside the real graph's construction.
+  RouteLookahead(const ArchParams& arch, std::size_t nx, std::size_t ny,
+                 const DelayProfile* delay = nullptr);
+  /// The same table for the fabric `g` was built over.
   explicit RouteLookahead(const RrGraphView& g,
-                          const DelayProfile* delay = nullptr);
+                          const DelayProfile* delay = nullptr)
+      : RouteLookahead(g.arch(), g.nx(), g.ny(), delay) {}
 
   /// Expected remaining base cost from `n` (whose own cost is already
   /// paid) to a sink at tile (tx, ty). Convenience form for sink-order
@@ -101,6 +108,8 @@ class RouteLookahead {
   }
 
   const float* table() const { return table_.data(); }
+  /// Cells in table() (and in delay_table() when it is built).
+  std::size_t table_size() const { return table_.size(); }
 
   /// Delay twin of the base table (empty unless built with a profile).
   /// Indexed identically: delay_table()[node_key(n) + target_key(tx, ty)]

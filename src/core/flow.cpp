@@ -2,44 +2,63 @@
 
 #include <stdexcept>
 
-#include "service/flow_artifacts.hpp"
 #include "timing/sta.hpp"
+#include "util/thread_pool.hpp"
 #include "verify/check.hpp"
 
 namespace nemfpga {
+
+CompiledDesign compile(const Netlist& netlist, const FlowOptions& opt,
+                       PreRoute pre_route) {
+  CompiledDesign d;
+  d.packing = pack_netlist(netlist, opt.arch);
+  if (verify::checks_enabled()) {
+    check_packing(netlist, opt.arch, d.packing);
+  }
+  const auto [nx, ny] = grid_size_for(opt.arch, d.packing.clusters.size(),
+                                      d.packing.io_block_count());
+  // The annealer is the side stage, so the long-lived RR graph is
+  // allocated on the calling thread: built on a worker it would land in
+  // that thread's malloc arena and raise the peak RSS (EXPERIMENTS.md,
+  // "Artifacts beside the annealer").
+  ThreadPool::current().run_beside(
+      [&] {
+        d.placement = place(netlist, d.packing, opt.arch, nx, ny, opt.place);
+      },
+      [&] {
+        if (pre_route == PreRoute::kRoute) {
+          d.artifacts = make_flow_artifacts(opt.artifact_cache, opt.arch, nx,
+                                            ny, opt.route,
+                                            opt.timing_backend);
+        } else if (!opt.route.lookahead) {
+          d.artifacts = make_width_search_lookahead(opt.artifact_cache,
+                                                    opt.arch, nx, ny);
+        }
+      });
+  if (verify::checks_enabled()) {
+    check_placement(d.packing, opt.arch, d.placement);
+  }
+  return d;
+}
 
 FlowResult run_flow(Netlist netlist, const FlowOptions& opt) {
   FlowResult r;
   r.arch = opt.arch;
   r.netlist = std::move(netlist);
-  r.packing = pack_netlist(r.netlist, r.arch);
-  if (verify::checks_enabled()) {
-    check_packing(r.netlist, r.arch, r.packing);
-  }
-  const auto [nx, ny] = grid_size_for(r.arch, r.packing.clusters.size(),
-                                      r.packing.io_block_count());
-  r.placement = place(r.netlist, r.packing, r.arch, nx, ny, opt.place);
-  if (verify::checks_enabled()) {
-    check_placement(r.packing, r.arch, r.placement);
-  }
   // Pre-route immutable artifacts — backend-selected RR graph, lookahead
-  // table, lowered delay model — built here or served by the shared
-  // artifact cache; the routed result is bit-identical either way. Both
-  // RR backends produce bit-identical routing by construction, and the
-  // implicit backend no longer pays for a redundant explicit graph:
-  // downstream consumers (bitstream, timing, power) read graph_view().
-  FlowArtifacts art =
-      make_flow_artifacts(opt.artifact_cache, r.arch, nx, ny, opt.route,
-                          opt.timing_backend);
+  // table, lowered delay model — built beside the placement or served by
+  // the shared artifact cache; the routed result is bit-identical either
+  // way. Downstream consumers (bitstream, timing, power) read
+  // graph_view().
+  CompiledDesign d = compile(r.netlist, opt);
+  r.packing = std::move(d.packing);
+  r.placement = std::move(d.placement);
+  const FlowArtifacts& art = d.artifacts;
   r.graph = art.rr;
   r.igraph = art.irr;
   const RrGraphView gv = art.view();
   RouteOptions ropt = opt.route;
-  if (art.lookahead) {
-    ropt.lookahead = art.lookahead;
-    ropt.lookahead_build_s = art.lookahead_build_s;
-    ropt.lookahead_from_cache = art.lookahead_from_cache;
-  }
+  art.give_lookahead(ropt);
   if (ropt.timing_driven) {
     // Unified delay layer: one electrical view feeds the delay model,
     // the delay-annotated lookahead and the incremental STA driving the
@@ -64,28 +83,14 @@ FlowResult run_flow(Netlist netlist, const FlowOptions& opt) {
 ChannelWidthResult flow_min_channel_width(Netlist netlist,
                                           const FlowOptions& opt,
                                           std::size_t w_hint) {
-  const Packing packing = pack_netlist(netlist, opt.arch);
-  const auto [nx, ny] = grid_size_for(opt.arch, packing.clusters.size(),
-                                      packing.io_block_count());
-  const Placement pl =
-      place(netlist, packing, opt.arch, nx, ny, opt.place);
+  // The lookahead is W-independent, so it is built (or fetched from the
+  // cache, shared with every other flow on the fabric) beside the
+  // placement and handed to every probe. Wmin probes are congestion-only,
+  // so it carries no delay annotation.
+  const CompiledDesign d = compile(netlist, opt, PreRoute::kWidthSearch);
   RouteOptions ropt = opt.route;
-  if (opt.artifact_cache != nullptr && !ropt.lookahead) {
-    // The lookahead is W-independent, so the cache can hand the probe
-    // table to find_min_channel_width up front — same table it would
-    // build itself (Wmin probes are congestion-only, so no delay
-    // annotation), now shared with every other flow on the fabric. The
-    // implicit graph is only scaffolding for the table build.
-    RouteOptions probe = ropt;
-    probe.timing_driven = false;
-    probe.rr_backend = RrBackend::kImplicit;
-    const FlowArtifacts art = make_flow_artifacts(
-        opt.artifact_cache, opt.arch, nx, ny, probe, opt.timing_backend);
-    ropt.lookahead = art.lookahead;
-    ropt.lookahead_build_s = art.lookahead_build_s;
-    ropt.lookahead_from_cache = art.lookahead_from_cache;
-  }
-  return find_min_channel_width(opt.arch, pl, w_hint, ropt);
+  d.artifacts.give_lookahead(ropt);
+  return find_min_channel_width(opt.arch, d.placement, w_hint, ropt);
 }
 
 }  // namespace nemfpga

@@ -2,7 +2,9 @@
 // place -> route, producing one physical implementation that the variant
 // analyses (CMOS-only vs CMOS-NEM) then re-evaluate electrically. The
 // mapping is shared across variants, exactly as the paper maps each
-// benchmark once with VPR and swaps circuit models.
+// benchmark once with VPR and swaps circuit models. The pre-route
+// artifacts depend on the fabric alone, so compile() builds them beside
+// the placement: pack -> {place || artifacts} -> route.
 #pragma once
 
 #include <memory>
@@ -13,11 +15,10 @@
 #include "pack/pack.hpp"
 #include "place/place.hpp"
 #include "route/route.hpp"
+#include "service/flow_artifacts.hpp"
 #include "timing/variant.hpp"
 
 namespace nemfpga {
-
-class ArtifactCache;
 
 struct FlowOptions {
   ArchParams arch;
@@ -62,12 +63,37 @@ struct FlowResult {
   bool routed() const { return routing.success; }
 };
 
+/// A packed and placed design with its pre-route artifacts: what every
+/// flow entry point holds just before routing.
+struct CompiledDesign {
+  Packing packing;
+  Placement placement;
+  FlowArtifacts artifacts;
+};
+
+/// Which pre-route artifacts compile() builds beside the placement.
+enum class PreRoute {
+  kRoute,        ///< make_flow_artifacts: RR graph, lookahead, delay model.
+  kWidthSearch,  ///< The probes' shared lookahead alone (none if
+                 ///< opt.route.lookahead is already set).
+};
+
+/// The flow's stages before routing, shared by run_flow, EcoFlow and
+/// flow_min_channel_width: pack, then place beside the pre-route
+/// artifacts (ThreadPool::run_beside on ThreadPool::current()). The
+/// annealer is the side stage; the artifacts build on the calling
+/// thread. Neither stage reads the other's output, so the result is
+/// bit-identical to running them one after another.
+CompiledDesign compile(const Netlist& netlist, const FlowOptions& opt,
+                       PreRoute pre_route = PreRoute::kRoute);
+
 /// Run pack/place/route. Throws std::runtime_error if routing fails at the
 /// requested channel width.
 FlowResult run_flow(Netlist netlist, const FlowOptions& opt);
 
 /// Determine this circuit's minimum channel width (paper Sec 3.3): packs
-/// and places once, then binary-searches W.
+/// and places once (building the probes' lookahead beside the placement),
+/// then binary-searches W.
 ChannelWidthResult flow_min_channel_width(Netlist netlist,
                                           const FlowOptions& opt,
                                           std::size_t w_hint = 64);

@@ -7,7 +7,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "service/flow_artifacts.hpp"
 #include "util/rng.hpp"
 #include "verify/check.hpp"
 
@@ -33,20 +32,21 @@ RrGraphView EcoFlow::graph() const {
 EcoFlow::EcoFlow(Netlist netlist, const EcoOptions& opt)
     : nl_(std::move(netlist)), opt_(opt) {
   nl_.validate();
-  pk_ = pack_netlist(nl_, opt_.arch);
-  if (verify::checks_enabled()) check_packing(nl_, opt_.arch, pk_);
-  const auto [nx, ny] =
-      grid_size_for(opt_.arch, pk_.clusters.size(), pk_.io_block_count());
-  nx_ = nx;
-  ny_ = ny;
-  pl_ = place(nl_, pk_, opt_.arch, nx_, ny_, opt_.place);
-  if (verify::checks_enabled()) check_placement(pk_, opt_.arch, pl_);
   // Session artifacts (RR graph, lookahead, delay model) come from the
   // shared content-addressed cache when one is given — many sessions on
   // one fabric then share a single immutable copy of each.
-  FlowArtifacts art =
-      make_flow_artifacts(opt_.artifact_cache, opt_.arch, nx_, ny_,
-                          opt_.route, opt_.timing_backend);
+  FlowOptions fopt;
+  fopt.arch = opt_.arch;
+  fopt.place = opt_.place;
+  fopt.route = opt_.route;
+  fopt.timing_backend = opt_.timing_backend;
+  fopt.artifact_cache = opt_.artifact_cache;
+  CompiledDesign d = compile(nl_, fopt);
+  pk_ = std::move(d.packing);
+  pl_ = std::move(d.placement);
+  nx_ = pl_.nx;
+  ny_ = pl_.ny;
+  const FlowArtifacts& art = d.artifacts;
   eg_ = art.rr;
   ig_ = art.irr;
   dmodel_ = art.delay_model;
@@ -81,14 +81,8 @@ EcoFlow::EcoFlow(Netlist netlist, const EcoOptions& opt)
                                 dmodel_);
     ropt.timing_hook = hook.get();
   }
-  if (art.lookahead) {
-    lookahead_ = art.lookahead;
-    ropt.lookahead = lookahead_;
-    ropt.lookahead_build_s = art.lookahead_build_s;
-    ropt.lookahead_from_cache = art.lookahead_from_cache;
-  } else {
-    lookahead_ = ropt.lookahead;
-  }
+  art.give_lookahead(ropt);
+  lookahead_ = ropt.lookahead;
   routing_ = route_all(gv, pl_, ropt);
 
   sink_delays_.assign(pl_.nets.size(), {});

@@ -1203,12 +1203,8 @@ ChannelWidthResult find_min_channel_width(const ArchParams& arch,
   probe_opt.timing_driven = false;
   probe_opt.timing_hook = nullptr;
   if (!probe_opt.lookahead) {
-    // The table builder only reads arch/nx/ny off the graph, so seed it
-    // with the implicit backend — same table, none of the CSR footprint.
-    ArchParams a = arch;
-    a.W = std::max<std::size_t>(2, w_hint);
-    const ImplicitRrGraph g(a, pl.nx, pl.ny);
-    probe_opt.lookahead = std::make_shared<const RouteLookahead>(g);
+    probe_opt.lookahead =
+        std::make_shared<const RouteLookahead>(arch, pl.nx, pl.ny);
   }
 
   const WidthProbe probe = [&](std::size_t w,

@@ -52,6 +52,26 @@ std::size_t delay_model_bytes(const DelayModel& m) {
   return sizeof(DelayModel) + m.node_delay.size() * sizeof(double);
 }
 
+/// Set a's lookahead fields: built over the fabric alone, no RR graph.
+void fetch_lookahead(FlowArtifacts& a, ArtifactCache* cache,
+                     const ArchParams& arch, std::size_t nx, std::size_t ny,
+                     const DelayProfile* prof) {
+  const auto build = [&] {
+    return std::make_shared<const RouteLookahead>(arch, nx, ny, prof);
+  };
+  if (cache != nullptr) {
+    bool built = false;
+    a.lookahead = cache->get_or_build<RouteLookahead>(
+        lookahead_key(arch, nx, ny, prof), build,
+        [](const RouteLookahead& la) { return la.memory_bytes(); }, &built);
+    a.lookahead_from_cache = !built;
+    if (built) a.lookahead_build_s = a.lookahead->build_seconds();
+  } else {
+    a.lookahead = build();
+    a.lookahead_build_s = a.lookahead->build_seconds();
+  }
+}
+
 }  // namespace
 
 std::string rr_graph_key(const ArchParams& arch, std::size_t nx,
@@ -141,24 +161,17 @@ FlowArtifacts make_flow_artifacts(ArtifactCache* cache,
   }
 
   if (!ropt.lookahead) {
-    const DelayProfile* prof =
-        a.delay_model ? &a.delay_model->profile : nullptr;
-    const auto build = [&] {
-      return std::make_shared<const RouteLookahead>(gv, prof);
-    };
-    if (cache != nullptr) {
-      bool built = false;
-      a.lookahead = cache->get_or_build<RouteLookahead>(
-          lookahead_key(arch, nx, ny, prof), build,
-          [](const RouteLookahead& la) { return la.memory_bytes(); },
-          &built);
-      a.lookahead_from_cache = !built;
-      if (built) a.lookahead_build_s = a.lookahead->build_seconds();
-    } else {
-      a.lookahead = build();
-      a.lookahead_build_s = a.lookahead->build_seconds();
-    }
+    fetch_lookahead(a, cache, arch, nx, ny,
+                    a.delay_model ? &a.delay_model->profile : nullptr);
   }
+  return a;
+}
+
+FlowArtifacts make_width_search_lookahead(ArtifactCache* cache,
+                                          const ArchParams& arch,
+                                          std::size_t nx, std::size_t ny) {
+  FlowArtifacts a;
+  fetch_lookahead(a, cache, arch, nx, ny, nullptr);
   return a;
 }
 

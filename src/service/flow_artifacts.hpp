@@ -82,6 +82,14 @@ struct FlowArtifacts {
   RrGraphView view() const {
     return irr ? RrGraphView(*irr) : RrGraphView(*rr);
   }
+
+  /// Hand the lookahead, when this set has one, to the router options.
+  void give_lookahead(RouteOptions& ropt) const {
+    if (!lookahead) return;
+    ropt.lookahead = lookahead;
+    ropt.lookahead_build_s = lookahead_build_s;
+    ropt.lookahead_from_cache = lookahead_from_cache;
+  }
 };
 
 /// Build (cache == nullptr) or fetch-or-build (cache != nullptr) the
@@ -94,5 +102,12 @@ FlowArtifacts make_flow_artifacts(ArtifactCache* cache,
                                   const ArchParams& arch, std::size_t nx,
                                   std::size_t ny, const RouteOptions& ropt,
                                   std::string_view timing_backend);
+
+/// Build or fetch-or-build the congestion-only lookahead alone — the one
+/// table every probe of a Wmin search over (arch, nx, ny) shares, at any
+/// W. It needs no RR graph; only the lookahead fields are set.
+FlowArtifacts make_width_search_lookahead(ArtifactCache* cache,
+                                          const ArchParams& arch,
+                                          std::size_t nx, std::size_t ny);
 
 }  // namespace nemfpga

@@ -1,5 +1,6 @@
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
@@ -10,10 +11,11 @@
 namespace nemfpga {
 namespace {
 
-/// True while this thread is executing a parallel_for body; nested
-/// parallel calls then run inline (serial) instead of re-entering the
-/// pool, which keeps composed layers (e.g. per-circuit loop around the
-/// channel-width probe loop) deadlock-free.
+/// True while this thread is executing a parallel_for body (or idles as a
+/// worker); nested parallel calls then run inline (serial) instead of
+/// re-entering the pool, which keeps composed layers (e.g. per-circuit
+/// loop around the channel-width probe loop) deadlock-free. A run_beside
+/// side stage clears it for its duration.
 thread_local bool t_in_parallel_region = false;
 
 /// Innermost ScopedUse override for this thread.
@@ -51,12 +53,16 @@ std::optional<std::size_t> threads_from_env(const char* env, bool* clamped) {
 }
 
 /// One fork-join loop. Workers and the caller claim index chunks from
-/// `next`; `pending` counts participants that have not yet finished their
-/// claim loop, and the last one out wakes the caller.
+/// `next`; `pending` counts the tickets queued for workers that have been
+/// neither released by the worker that took them nor revoked, and the
+/// last release wakes the caller.
 struct ThreadPool::Job {
   std::size_t n = 0;
   std::size_t chunk = 1;
   const std::function<void(std::size_t)>* body = nullptr;
+  /// A run_beside side stage: its caller waits on queue_cv_ (helping with
+  /// queued tickets meanwhile), so its release wakes that instead.
+  bool side = false;
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> pending{0};
   std::mutex mutex;
@@ -93,9 +99,28 @@ void ThreadPool::worker_loop() {
       queue_.pop_back();
     }
     drain(*job);
-    std::lock_guard<std::mutex> lock(job->mutex);
-    if (job->pending.fetch_sub(1) == 1) job->done_cv.notify_all();
+    release(*job);
   }
+}
+
+void ThreadPool::revoke(const std::shared_ptr<Job>& job) {
+  std::lock_guard<std::mutex> lock(queue_mutex_);
+  const auto kept = std::remove(queue_.begin(), queue_.end(), job);
+  job->pending.fetch_sub(static_cast<std::size_t>(queue_.end() - kept));
+  queue_.erase(kept, queue_.end());
+}
+
+void ThreadPool::release(Job& job) {
+  if (job.side) {
+    {
+      std::lock_guard<std::mutex> lock(queue_mutex_);
+      job.pending.fetch_sub(1);
+    }
+    queue_cv_.notify_all();
+    return;
+  }
+  std::lock_guard<std::mutex> lock(job.mutex);
+  if (job.pending.fetch_sub(1) == 1) job.done_cv.notify_all();
 }
 
 void ThreadPool::drain(Job& job) {
@@ -132,7 +157,7 @@ void ThreadPool::parallel_for(std::size_t n,
   // enough to balance uneven task costs (routings at different widths).
   job->chunk = std::max<std::size_t>(1, n / (thread_count() * 4));
   const std::size_t tickets = std::min(workers_.size(), n - 1);
-  job->pending.store(tickets + 1);
+  job->pending.store(tickets);
   {
     std::lock_guard<std::mutex> lock(queue_mutex_);
     for (std::size_t i = 0; i < tickets; ++i) queue_.push_back(job);
@@ -142,11 +167,76 @@ void ThreadPool::parallel_for(std::size_t n,
   t_in_parallel_region = true;
   drain(*job);
   t_in_parallel_region = false;
+  // Every index is claimed now. A ticket still queued would only wait for
+  // a worker that is busy elsewhere — maybe this very thread, when the
+  // loop runs in a run_beside side stage.
+  revoke(job);
 
   std::unique_lock<std::mutex> lock(job->mutex);
-  job->pending.fetch_sub(1);
   job->done_cv.wait(lock, [&] { return job->pending.load() == 0; });
   if (job->error) std::rethrow_exception(job->error);
+}
+
+void ThreadPool::run_beside(const std::function<void()>& side,
+                            const std::function<void()>& main) {
+  std::exception_ptr side_error, main_error;
+  const auto run = [](const std::function<void()>& stage,
+                      std::exception_ptr& error) {
+    try {
+      stage();
+    } catch (...) {
+      error = std::current_exception();
+    }
+  };
+  if (workers_.empty() || t_in_parallel_region) {
+    run(side, side_error);
+    run(main, main_error);
+  } else {
+    // side() is a one-index job: a worker claims it, or the caller does
+    // once main() is done. Wherever it runs, its loops use this pool.
+    const std::function<void(std::size_t)> body = [&](std::size_t) {
+      const bool in_region = t_in_parallel_region;
+      t_in_parallel_region = false;
+      {
+        ScopedUse use(*this);
+        run(side, side_error);
+      }
+      t_in_parallel_region = in_region;
+    };
+    auto job = std::make_shared<Job>();
+    job->n = 1;
+    job->body = &body;
+    job->side = true;
+    job->pending.store(1);
+    {
+      std::lock_guard<std::mutex> lock(queue_mutex_);
+      queue_.push_back(job);
+    }
+    queue_cv_.notify_one();
+
+    run(main, main_error);
+    drain(*job);
+    revoke(job);
+    // Until the worker running side() releases it, take queued tickets
+    // (side()'s own loops among them) like any worker would.
+    std::unique_lock<std::mutex> lock(queue_mutex_);
+    while (job->pending.load() != 0) {
+      if (queue_.empty()) {
+        queue_cv_.wait(lock);
+        continue;
+      }
+      const std::shared_ptr<Job> other = std::move(queue_.back());
+      queue_.pop_back();
+      lock.unlock();
+      t_in_parallel_region = true;
+      drain(*other);
+      t_in_parallel_region = false;
+      release(*other);
+      lock.lock();
+    }
+  }
+  if (side_error) std::rethrow_exception(side_error);
+  if (main_error) std::rethrow_exception(main_error);
 }
 
 ThreadPool& ThreadPool::global() {

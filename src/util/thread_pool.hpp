@@ -34,9 +34,12 @@ inline constexpr std::size_t kMaxThreads = 256;
 /// concurrency.
 std::optional<std::size_t> threads_from_env(const char* env, bool* clamped);
 
-/// Fixed-size worker pool with a blocking fork-join parallel_for. The
-/// calling thread always participates in the loop, so a 1-thread pool is
-/// an inline serial loop with zero synchronisation.
+/// Fixed-size worker pool with a blocking fork-join parallel_for and a
+/// two-stage fork-join run_beside. The calling thread always participates
+/// in the loop, so a 1-thread pool is an inline serial loop with zero
+/// synchronisation. Loops nested inside a parallel_for body run serially
+/// on the calling thread; only a run_beside side stage may start loops of
+/// its own on the pool.
 class ThreadPool {
  public:
   /// `threads` is the total worker count including the caller; 0 and 1
@@ -55,9 +58,22 @@ class ThreadPool {
   /// (or synchronise their shared writes). The first exception thrown by
   /// any body is rethrown here; remaining indices may be skipped. Nested
   /// calls (from inside a body) run serially on the calling thread, so
-  /// composed parallel layers cannot deadlock.
+  /// composed parallel layers cannot deadlock. Once the caller has claimed
+  /// every index, it revokes the queued tickets no worker took, so the
+  /// loop never waits for a worker that is busy elsewhere.
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t)>& body);
+
+  /// Run two independent stages at once and return when both are done:
+  /// side() on an idle worker while the caller runs main(). Unlike a
+  /// parallel_for body, side() may run this pool's loops in parallel.
+  /// Once main() is done the caller helps drain the queued loop tickets
+  /// (and runs side() itself if no worker has taken it yet). On a serial
+  /// pool, or when called from inside a parallel_for body, side() then
+  /// main() run inline on the caller. An exception from either stage is
+  /// rethrown after both have finished (side()'s first).
+  void run_beside(const std::function<void()>& side,
+                  const std::function<void()>& main);
 
   /// Process-wide pool used by the free parallel_for/parallel_map:
   /// NF_THREADS if set (>= 1, clamped to kMaxThreads), otherwise
@@ -88,6 +104,11 @@ class ThreadPool {
 
   void worker_loop();
   static void drain(Job& job);
+  /// Drop `job`'s tickets that are still queued (every index has been
+  /// claimed, so a worker taking one would find nothing to do).
+  void revoke(const std::shared_ptr<Job>& job);
+  /// A participant that took one of `job`'s tickets is done with it.
+  void release(Job& job);
 
   std::vector<std::thread> workers_;
   std::mutex queue_mutex_;

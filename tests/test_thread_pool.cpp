@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/thread_pool.hpp"
@@ -112,6 +115,151 @@ TEST(ThreadPool, LargeOversubscribedSum) {
     sum.fetch_add(i, std::memory_order_relaxed);
   });
   EXPECT_EQ(sum.load(), static_cast<std::uint64_t>(n) * (n - 1) / 2);
+}
+
+// Waits up to ten seconds for `flag`: a lost wake-up or a deadlock shows
+// as a failed expectation instead of a hung test.
+bool wait_for(const std::atomic<bool>& flag) {
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!flag.load()) {
+    if (std::chrono::steady_clock::now() > until) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+TEST(ThreadPool, SideStageLoopFinishesOnTwoThreads) {
+  // The worker runs side(); the caller is held in main() until side()'s
+  // loop is done, so nobody else can take that loop's queued ticket. The
+  // loop must revoke it instead of waiting for it.
+  ThreadPool pool(2);
+  std::vector<std::atomic<int>> visits(100);
+  std::atomic<bool> loop_done{false};
+  bool main_saw_loop = false;
+  pool.run_beside(
+      [&] {
+        parallel_for(visits.size(),
+                     [&](std::size_t i) { visits[i].fetch_add(1); });
+        loop_done.store(true);
+      },
+      [&] { main_saw_loop = wait_for(loop_done); });
+  EXPECT_TRUE(main_saw_loop);
+  for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
+}
+
+TEST(ThreadPool, CallerHelpsSideStageLoopsOnceMainIsDone) {
+  // Both indices of side()'s loop must run at once. main() returns only
+  // once the one worker has taken side(), so only the caller — done with
+  // main() — can take the second.
+  ThreadPool pool(2);
+  std::atomic<bool> side_started{false};
+  std::atomic<int> running{0};
+  std::atomic<bool> both{false};
+  bool met = true;
+  std::mutex mu;
+  pool.run_beside(
+      [&] {
+        side_started.store(true);
+        parallel_for(2, [&](std::size_t) {
+          if (running.fetch_add(1) == 1) both.store(true);
+          const bool ok = wait_for(both);
+          std::lock_guard<std::mutex> lock(mu);
+          met = met && ok;
+        });
+      },
+      [&] { EXPECT_TRUE(wait_for(side_started)); });
+  EXPECT_TRUE(met);
+}
+
+TEST(ThreadPool, SideStageExceptionIsRethrownAfterMainFinishes) {
+  ThreadPool pool(4);
+  std::atomic<bool> main_done{false};
+  EXPECT_THROW(pool.run_beside([] { throw std::runtime_error("side"); },
+                               [&] {
+                                 std::this_thread::sleep_for(
+                                     std::chrono::milliseconds(20));
+                                 main_done.store(true);
+                               }),
+               std::runtime_error);
+  EXPECT_TRUE(main_done.load());
+}
+
+TEST(ThreadPool, MainStageExceptionIsRethrownAfterSideFinishes) {
+  ThreadPool pool(4);
+  std::atomic<bool> side_done{false};
+  EXPECT_THROW(pool.run_beside(
+                   [&] {
+                     std::this_thread::sleep_for(
+                         std::chrono::milliseconds(20));
+                     side_done.store(true);
+                   },
+                   [] { throw std::logic_error("main"); }),
+               std::logic_error);
+  EXPECT_TRUE(side_done.load());
+  // The pool survives and keeps working.
+  std::atomic<std::size_t> sum{0};
+  pool.parallel_for(100, [&](std::size_t i) { sum.fetch_add(i); });
+  EXPECT_EQ(sum.load(), 4950u);
+}
+
+TEST(ThreadPool, SerialPoolRunsStagesInlineInOrder) {
+  ThreadPool pool(1);
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::string> order;
+  pool.run_beside(
+      [&] {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        order.push_back("side");
+      },
+      [&] {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        order.push_back("main");
+      });
+  EXPECT_EQ(order, (std::vector<std::string>{"side", "main"}));
+}
+
+TEST(ThreadPool, StagesRunInlineInsideALoopBody) {
+  ThreadPool pool(4);
+  std::vector<std::vector<int>> order(8);
+  pool.parallel_for(order.size(), [&](std::size_t i) {
+    const auto self = std::this_thread::get_id();
+    pool.run_beside(
+        [&] {
+          EXPECT_EQ(std::this_thread::get_id(), self);
+          order[i].push_back(0);
+        },
+        [&] {
+          EXPECT_EQ(std::this_thread::get_id(), self);
+          order[i].push_back(1);
+        });
+  });
+  for (const auto& o : order) EXPECT_EQ(o, (std::vector<int>{0, 1}));
+}
+
+TEST(ThreadPool, EveryIndexRunsOnceWithLoopsOnBothStages) {
+  // Many short loops from both stages at once: tickets get revoked and
+  // taken by the helping caller all the time, and every index must still
+  // run exactly once.
+  ThreadPool pool(4);
+  ThreadPool::ScopedUse use(pool);
+  constexpr std::size_t kLoops = 300;
+  std::vector<std::atomic<int>> side_visits(kLoops * 8);
+  std::vector<std::atomic<int>> main_visits(kLoops * 8);
+  const auto loops = [](std::vector<std::atomic<int>>& visits) {
+    for (std::size_t l = 0; l < kLoops; ++l) {
+      const std::size_t n = 2 + l % 7;
+      parallel_for(n, [&](std::size_t i) { visits[l * 8 + i].fetch_add(1); });
+    }
+  };
+  pool.run_beside([&] { loops(side_visits); }, [&] { loops(main_visits); });
+  for (std::size_t l = 0; l < kLoops; ++l) {
+    for (std::size_t i = 0; i < 8; ++i) {
+      const int want = i < 2 + l % 7 ? 1 : 0;
+      EXPECT_EQ(side_visits[l * 8 + i].load(), want) << l << "," << i;
+      EXPECT_EQ(main_visits[l * 8 + i].load(), want) << l << "," << i;
+    }
+  }
 }
 
 // NF_THREADS decoding only — no pool is ever built at the decoded size.
